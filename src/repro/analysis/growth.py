@@ -73,6 +73,7 @@ import statistics
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro import catalog
 from repro.analysis.theory import doubling_cil_step_bound, predicted_attribution
 from repro.errors import ConfigurationError
 from repro.runtime.rng import derive_seed
@@ -81,7 +82,6 @@ __all__ = [
     "GROWTH_SCHEMA_VERSION",
     "DEFAULT_MAX_N",
     "QUICK_MAX_N",
-    "GROWTH_ALGORITHMS",
     "compare_growth",
     "decades",
     "deterministic_view",
@@ -101,16 +101,6 @@ DEFAULT_MAX_N = 10**6
 
 #: The CI smoke sweep's largest decade (quick mode).
 QUICK_MAX_N = 10**5
-
-#: Curve keys, in report order: the two fast classes then the baseline.
-GROWTH_ALGORITHMS = ("snapshot", "sifting", "doubling-cil")
-
-#: Asymptotic class labels keyed like :data:`GROWTH_ALGORITHMS`.
-_CLASSES = {
-    "snapshot": "O(log* n)",
-    "sifting": "O(log log n)",
-    "doubling-cil": "O(log n)",
-}
 
 #: Solo-run trials per decade for the baseline ladder (generator backend;
 #: each trial is O(log n) steps, so this is cheap at every n).
@@ -146,28 +136,24 @@ def trials_for(n: int) -> int:
     return max(4, min(512, (1 << 21) // n))
 
 
-def _max_safe_priority_range(n: int) -> int:
-    """Largest priority range the vectorized kernel can pack with origins.
-
-    Mirrors the guard in ``repro.runtime.vectorized._plan_for``:
-    ``priority_range * mult + n < 2**63`` with ``mult`` the next power of
-    two at or above ``n``.
-    """
-    mult = 1 << (n - 1).bit_length() if n > 1 else 2
-    return (2**63 - n) // mult - 1
-
-
 def _ensemble_factory(algorithm: str, n: int, epsilon: float) -> Tuple[
     Callable[[], Any], bool
 ]:
-    """(conciliator factory, priority_range_capped) for one curve point."""
+    """(conciliator factory, priority_range_capped) for one curve point;
+    the fast classes run at the report's ``epsilon``."""
+    if algorithm not in catalog.names("growth_class"):
+        raise ConfigurationError(
+            f"unknown growth algorithm {algorithm!r}; choose from "
+            f"{catalog.names('growth_class')}"
+        )
     if algorithm == "snapshot":
         from repro.core.rounds import snapshot_priority_range, snapshot_rounds
         from repro.core.snapshot_conciliator import SnapshotConciliator
+        from repro.runtime.vectorized import max_priority_range
 
         rounds = snapshot_rounds(n, epsilon)
         wanted = snapshot_priority_range(n, epsilon, rounds)
-        safe = _max_safe_priority_range(n)
+        safe = max_priority_range(n)
         capped = wanted > safe
         chosen = min(wanted, safe)
         if capped and chosen < n * n:  # pragma: no cover - n ~ 2^21+
@@ -183,14 +169,8 @@ def _ensemble_factory(algorithm: str, n: int, epsilon: float) -> Tuple[
         from repro.core.sifting_conciliator import SiftingConciliator
 
         return (lambda: SiftingConciliator(n, epsilon)), False
-    if algorithm == "doubling-cil":
-        from repro.baselines.doubling_cil import DoublingCILConciliator
-
-        return (lambda: DoublingCILConciliator(n)), False
-    raise ConfigurationError(
-        f"unknown growth algorithm {algorithm!r}; choose from "
-        f"{GROWTH_ALGORITHMS}"
-    )
+    factory = catalog.get(algorithm).factory
+    return (lambda: factory(n)), False
 
 
 def _predicted(algorithm: str, n: int, epsilon: float) -> Dict[str, Any]:
@@ -390,7 +370,7 @@ def _checks(curves: Dict[str, List[Dict[str, Any]]],
     crossed = baseline_solo_mean > fast_group_max
     separated = ratio >= _MIN_SEPARATION and crossed
     ordering = sorted(
-        GROWTH_ALGORITHMS,
+        catalog.names("growth_class"),
         key=lambda name: (
             baseline_solo_mean if name == "doubling-cil" else top[name]
         ),
@@ -437,7 +417,7 @@ def run_growth_experiment(
     emit = log or (lambda message: None)
     sizes = decades(max_n)
     curves: Dict[str, List[Dict[str, Any]]] = {}
-    for algorithm in GROWTH_ALGORITHMS:
+    for algorithm in catalog.names("growth_class"):
         points = []
         for n in sizes:
             emit(f"growth: {algorithm} n={n} "
@@ -468,7 +448,10 @@ def run_growth_experiment(
         "max_n": max_n,
         "schedule_family": schedule_family,
         "backend": "vectorized+generator-solo",
-        "classes": dict(_CLASSES),
+        "classes": {
+            record.name: record.growth_class
+            for record in catalog.CATALOG if record.growth_class
+        },
         "note": (
             "log* n and ceil(log log n) are numerically equal up to n=10^6 "
             "(they separate only beyond n ~ 2^65536); the gated separation "

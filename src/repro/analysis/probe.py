@@ -25,23 +25,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import catalog
 from repro.analysis.experiments import run_conciliator_trials
 from repro.analysis.tables import render_table
-from repro.core.conciliator import Conciliator
-from repro.core.sifting_conciliator import SiftingConciliator
-from repro.core.snapshot_conciliator import SnapshotConciliator
 from repro.errors import ConfigurationError
 from repro.memory.semantics import REGISTER_MODEL_KINDS, RegisterModel
 from repro.runtime.adaptive import ADAPTIVE_FAMILIES, AdaptiveSpec
 from repro.runtime.adversary import ADVERSARY_LADDER, AdversarySpec
 
-__all__ = ["PROBE_ALGORITHMS", "ProbeReport", "run_probe"]
-
-#: Conciliators the probe can sweep (Algorithm 2 and Algorithm 1's core).
-PROBE_ALGORITHMS: Dict[str, Callable[[int], Conciliator]] = {
-    "sifting": lambda n: SiftingConciliator(n),
-    "snapshot": lambda n: SnapshotConciliator(n),
-}
+__all__ = ["ProbeReport", "run_probe"]
 
 
 @dataclass
@@ -225,11 +217,14 @@ def run_probe(
             f"unknown inner adaptive strategy {inner!r}; choose from "
             f"{ADAPTIVE_FAMILIES}"
         )
+    # The probe sweeps the algorithms with a paper decay bound
+    # (Algorithms 1-2), the same set ``decay`` and ``search`` offer.
+    probed = sorted(catalog.names("decay_bound"))
     for algorithm in algorithms:
-        if algorithm not in PROBE_ALGORITHMS:
+        if algorithm not in probed:
             raise ConfigurationError(
                 f"unknown probe algorithm {algorithm!r}; choose from "
-                f"{tuple(PROBE_ALGORITHMS)}"
+                f"{tuple(probed)}"
             )
     emit = log or (lambda message: None)
     report = ProbeReport(
@@ -238,7 +233,7 @@ def run_probe(
     rungs = _ladder_specs(inner, noise, delay)
     assert tuple(rung for rung, _, _ in rungs) == ADVERSARY_LADDER
     for algorithm in algorithms:
-        factory = PROBE_ALGORITHMS[algorithm]
+        factory = catalog.get(algorithm).factory
         rows: List[Dict[str, Any]] = []
         for rung, label, spec in rungs:
             emit(f"probe: {algorithm} / {rung} ({label})...")
@@ -262,8 +257,8 @@ def run_probe(
                 "mean_total_steps": stats.total_steps.mean,
             })
         report.ladder[algorithm] = rows
-    for algorithm in sorted(PROBE_ALGORITHMS):
-        factory = PROBE_ALGORITHMS[algorithm]
+    for algorithm in probed:
+        factory = catalog.get(algorithm).factory
         for kind in REGISTER_MODEL_KINDS:
             emit(f"probe: {algorithm} / {kind} registers...")
             model = None if kind == "atomic" else RegisterModel(kind)

@@ -121,9 +121,10 @@ def cil_inner_rounds(n: int) -> int:
 def cil_individual_step_bound(n: int) -> int:
     """Worst-case individual steps of Algorithm 3's full program.
 
-    Mirrors :func:`repro.fuzz.stacks.conciliator_budget`: each main-loop
-    iteration costs one proposal read plus one inner-sifter step
-    (``2 * inner``), plus three loop-exit operations, plus the combine
+    An independent closed form for
+    :meth:`repro.core.cil_embedded.CILEmbeddedConciliator.step_bound`:
+    each main-loop iteration costs one proposal read plus one inner-sifter
+    step (``2 * inner``), plus three loop-exit operations, plus the combine
     stage — a binary adopt-commit (``1 + 2 + 2 = 5`` steps) bracketed by
     one ``out[side]`` write and one ``out[chosen]`` read.
     """

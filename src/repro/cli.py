@@ -47,21 +47,18 @@ by the differential test suite.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence
 
+from repro import catalog
 from repro.analysis.experiments import decay_series, run_conciliator_trials
 from repro.analysis.tables import render_table
-from repro.analysis.theory import sifting_decay_bound, snapshot_decay_bound
-from repro.baselines.doubling_cil import DoublingCILConciliator
-from repro.core.cil_embedded import CILEmbeddedConciliator
 from repro.core.consensus import (
     register_consensus,
     run_consensus,
     snapshot_consensus,
 )
-from repro.core.sifting_conciliator import SiftingConciliator
-from repro.core.snapshot_conciliator import SnapshotConciliator
 from repro.errors import ReproError
 from repro.fuzz.stacks import service_chaos_names
 from repro.runtime.adaptive import ADAPTIVE_FAMILIES
@@ -79,14 +76,6 @@ from repro.workloads.schedules import (
 from repro.workloads.search import SEARCH_STRATEGIES
 
 __all__ = ["main", "build_parser"]
-
-CONCILIATORS = {
-    "snapshot": lambda n: SnapshotConciliator(n),
-    "snapshot-maxreg": lambda n: SnapshotConciliator(n, use_max_registers=True),
-    "sifting": lambda n: SiftingConciliator(n),
-    "cil-embedded": lambda n: CILEmbeddedConciliator(n),
-    "doubling-cil": lambda n: DoublingCILConciliator(n),
-}
 
 
 def _add_parallel_arguments(subparser: argparse.ArgumentParser) -> None:
@@ -196,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     conciliator = sub.add_parser(
         "conciliator", help="estimate agreement rate over repeated trials"
     )
-    conciliator.add_argument("--algorithm", choices=list(CONCILIATORS),
+    conciliator.add_argument("--algorithm", choices=catalog.names("exposed"),
                              default="sifting")
     conciliator.add_argument("--n", type=int, default=16)
     conciliator.add_argument("--trials", type=int, default=100)
@@ -218,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_checkpoint_arguments(conciliator)
 
     decay = sub.add_parser("decay", help="survivor decay vs the paper bound")
-    decay.add_argument("--algorithm", choices=["snapshot", "sifting"],
+    decay.add_argument("--algorithm", choices=catalog.names("decay_bound"),
                        default="sifting")
     decay.add_argument("--n", type=int, default=64)
     decay.add_argument("--trials", type=int, default=40)
@@ -239,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser(
         "search", help="search for the worst oblivious schedule"
     )
-    search.add_argument("--algorithm", choices=["snapshot", "sifting"],
+    search.add_argument("--algorithm", choices=catalog.names("decay_bound"),
                         default="sifting")
     search.add_argument("--n", type=int, default=8)
     search.add_argument("--generations", type=int, default=20)
@@ -595,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--sessions", type=int, default=1000,
                           help="total sessions to offer (default 1000)")
     loadtest.add_argument("--seed", type=int, default=0)
-    loadtest.add_argument("--algorithm", choices=list(CONCILIATORS),
+    loadtest.add_argument("--algorithm", choices=catalog.names("exposed"),
                           default="sifting")
     loadtest.add_argument("-n", type=int, default=8,
                           help="processes per simulated round")
@@ -727,7 +716,7 @@ def _cmd_consensus(args: argparse.Namespace) -> int:
 
 
 def _cmd_conciliator(args: argparse.Namespace) -> int:
-    factory = CONCILIATORS[args.algorithm]
+    factory = catalog.get(args.algorithm).factory
     register_model, adversary = _parse_model_arguments(args)
     stats = run_conciliator_trials(
         lambda: factory(args.n),
@@ -758,20 +747,16 @@ def _cmd_conciliator(args: argparse.Namespace) -> int:
 
 
 def _cmd_decay(args: argparse.Namespace) -> int:
-    if args.algorithm == "snapshot":
-        factory = lambda: SnapshotConciliator(args.n)
-        bound_fn = snapshot_decay_bound
-    else:
-        factory = lambda: SiftingConciliator(args.n)
-        bound_fn = sifting_decay_bound
+    record = catalog.get(args.algorithm)
+    assert record.decay_bound is not None  # argparse choices
     series = decay_series(
-        factory, list(range(args.n)), schedule_family=args.schedule,
-        trials=args.trials,
+        lambda: record.factory(args.n), list(range(args.n)),
+        schedule_family=args.schedule, trials=args.trials,
         master_seed=args.seed, workers=args.workers,
         chunk_size=args.chunk_size, checkpoint_path=args.checkpoint,
         resume=args.resume, backend=args.backend,
     )
-    bounds = bound_fn(args.n, len(series))
+    bounds = record.decay_bound(args.n, len(series))
     rows = [
         [index + 1, round(survivors - 1, 3), round(bounds[index], 3)]
         for index, survivors in enumerate(series)
@@ -798,17 +783,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from repro.obs.metrics import MetricsRegistry
     from repro.workloads.search import search_worst_schedule
 
-    if args.algorithm == "snapshot":
-        factory = lambda: SnapshotConciliator(args.n)
-        steps = SnapshotConciliator(args.n).step_bound()
-    else:
-        factory = lambda: SiftingConciliator(args.n)
-        steps = SiftingConciliator(args.n).step_bound()
+    factory = catalog.get(args.algorithm).factory
     registry = MetricsRegistry() if args.metrics else None
     result = search_worst_schedule(
-        factory,
+        lambda: factory(args.n),
         list(range(args.n)),
-        steps_per_process=steps,
+        steps_per_process=factory(args.n).step_bound(),
         generations=args.generations,
         trials_per_eval=args.trials,
         master_seed=args.seed,
@@ -1490,10 +1470,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "slo": _cmd_slo,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left (``repro ... | head``): as the Python docs advise,
+        # point stdout at devnull so the final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

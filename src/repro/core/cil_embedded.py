@@ -115,6 +115,16 @@ class CILEmbeddedConciliator(Conciliator):
         self.inner_completions = 0
         self.proposal_exits = 0
 
+    def step_bound(self) -> int:
+        """Worst-case individual steps: each main-loop iteration reads the
+        proposal and advances the inner conciliator one step (``2 * inner +
+        3`` with the exit operations); the combine stage adds one write, the
+        adopt-commit, and one read."""
+        return (
+            2 * self.inner.step_bound() + 3
+            + self.combine_ac.step_bound() + 2
+        )
+
     def persona_program(
         self, ctx: ProcessContext, input_value: Any
     ) -> Generator[Operation, Any, Persona]:

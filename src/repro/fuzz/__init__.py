@@ -24,7 +24,6 @@ from repro.fuzz.corpus import (
     save_case,
 )
 from repro.fuzz.explain import (
-    STACK_ALGORITHMS,
     CaseExplanation,
     explain_case,
     explain_scenario,
@@ -59,7 +58,6 @@ __all__ = [
     "load_corpus",
     "replay_case",
     "save_case",
-    "STACK_ALGORITHMS",
     "CaseExplanation",
     "explain_case",
     "explain_scenario",

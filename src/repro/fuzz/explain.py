@@ -29,10 +29,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.theory import predicted_attribution
-from repro.core.cil_embedded import INNER_EPSILON
 from repro.errors import ConfigurationError
 from repro.fuzz.corpus import CorpusCase
 from repro.fuzz.scenario import Scenario, run_scenario
+from repro.fuzz.stacks import get_stack
 from repro.obs.analyze import (
     ANALYSIS_SCHEMA_VERSION,
     AttributionReport,
@@ -49,7 +49,6 @@ from repro.obs.tracing import TraceRecorder
 
 __all__ = [
     "EXPLAIN_SCHEMA_VERSION",
-    "STACK_ALGORITHMS",
     "CaseExplanation",
     "explain_case",
     "explain_scenario",
@@ -59,20 +58,6 @@ __all__ = [
 EXPLAIN_SCHEMA_VERSION = 1
 
 _EXPLANATION_KIND = "repro-case-explanation"
-
-#: Stack names with a closed-form theory prediction, mapped to the
-#: ``(algorithm, epsilon)`` arguments of
-#: :func:`repro.analysis.theory.predicted_attribution`.  Stacks whose step
-#: structure has no closed form (chained compositions, baselines, full
-#: consensus loops) get lineage/timeline analysis but no attribution.
-STACK_ALGORITHMS: Dict[str, Tuple[str, float]] = {
-    "snapshot": ("snapshot", 0.5),
-    "snapshot-maxreg": ("snapshot", 0.5),
-    "sifting": ("sifting", 0.5),
-    "sifting-anonymous": ("sifting", 0.5),
-    "cil-embedded": ("cil-embedded", INNER_EPSILON),
-    "planted-agreement": ("sifting", 0.5),
-}
 
 
 @dataclass(frozen=True)
@@ -219,7 +204,8 @@ def explain_scenario(
     oracles, same classification — with a :class:`TraceRecorder` attached,
     then derives a disagreement report (when the stack's conciliator
     recorded round bookkeeping) and an attribution report (when the stack
-    maps to a theory prediction via :data:`STACK_ALGORITHMS`).
+    declares a theory prediction in
+    :attr:`repro.fuzz.stacks.StackSpec.attribution`).
     """
     recorder = TraceRecorder(capacity=None, sample_every=1,
                              include_values=True)
@@ -235,7 +221,7 @@ def explain_scenario(
         )
 
     attribution: Optional[AttributionReport] = None
-    mapping = STACK_ALGORITHMS.get(scenario.stack)
+    mapping = get_stack(scenario.stack).attribution
     if mapping is not None:
         algorithm, epsilon = mapping
         predicted = predicted_attribution(algorithm, scenario.n, epsilon)

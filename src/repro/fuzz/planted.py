@@ -163,5 +163,6 @@ PLANTED_STACKS = (
     )),
     register_stack(StackSpec(
         "planted-agreement", CONSENSUS, _agreement_stack, planted=True,
+        attribution=("sifting", 0.5),
     )),
 )

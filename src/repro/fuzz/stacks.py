@@ -4,7 +4,8 @@ A *stack* is one runnable composition from the paper's toolbox: a bare
 conciliator (Algorithms 1-3 and their variants), an adopt-commit object, or
 a full consensus protocol (conciliator + adopt-commit phases).  The fuzzer
 draws stacks from this registry, so adding an entry here automatically
-exposes the new protocol to every fuzz campaign.
+exposes the new protocol to every fuzz campaign.  The conciliator stacks
+and their model ladder come from :mod:`repro.catalog`, one per record.
 
 Each :class:`StackSpec` knows how to build programs for a given ``n`` and
 input assignment, and supplies the per-process step budget the
@@ -24,24 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import catalog
 from repro.adoptcommit.base import AdoptCommitObject
 from repro.adoptcommit.collect_ac import CollectAdoptCommit
 from repro.adoptcommit.encoders import DomainEncoder
 from repro.adoptcommit.flag_ac import BinaryAdoptCommit, FlagAdoptCommit
 from repro.adoptcommit.snapshot_ac import SnapshotAdoptCommit
-from repro.baselines import DoublingCILConciliator, NaiveConciliator
-from repro.core.cil_embedded import CILEmbeddedConciliator
-from repro.core.compose import ChainedConciliator
 from repro.core.conciliator import Conciliator
 from repro.core.consensus import (
     ConsensusProtocol,
     register_consensus,
     snapshot_consensus,
 )
-from repro.core.emulated_conciliator import EmulatedSnapshotConciliator
-from repro.core.indirect_conciliator import IndirectSnapshotConciliator
-from repro.core.sifting_conciliator import SiftingConciliator
-from repro.core.snapshot_conciliator import SnapshotConciliator
 from repro.errors import ConfigurationError
 from repro.memory.semantics import RegisterModel
 from repro.runtime.adversary import AdversarySpec
@@ -52,7 +47,6 @@ __all__ = [
     "SERVICE_CHAOS_STACKS",
     "BuiltStack",
     "StackSpec",
-    "conciliator_budget",
     "get_service_chaos",
     "get_stack",
     "ladder_stack_names",
@@ -115,6 +109,10 @@ class StackSpec:
             committed regression corpus, must not shift when the ladder
             grows — and participate only when named explicitly (e.g. by
             the nightly weakened-model soak leg).
+        attribution: the ``(algorithm, epsilon)`` arguments of
+            :func:`repro.analysis.theory.predicted_attribution` that grade
+            the stack's traced step counts in an explanation; ``None`` for
+            stacks whose step structure has no closed form.
     """
 
     name: str
@@ -126,6 +124,7 @@ class StackSpec:
     register_model: Optional[RegisterModel] = None
     adversary: Optional[AdversarySpec] = None
     ladder: bool = False
+    attribution: Optional[Tuple[str, float]] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -151,32 +150,13 @@ def _domain(inputs: Sequence[Any]) -> List[Any]:
     return seen
 
 
-def conciliator_budget(conciliator: Conciliator) -> Tuple[int, bool]:
-    """Per-process step budget for a conciliator, and whether it is exact.
-
-    Algorithm 3 (:class:`CILEmbeddedConciliator`) has no ``step_bound``
-    method, but its individual step count *is* bounded: each main-loop
-    iteration either returns or advances the inner conciliator by one
-    operation, so the loop costs at most ``2 * inner + 3`` charged steps
-    (one proposal read per iteration, one inner step, plus a final write),
-    and the combine stage adds one write, one adopt-commit invocation, and
-    one read.
-    """
-    if isinstance(conciliator, CILEmbeddedConciliator):
-        inner = conciliator.inner.step_bound()
-        combine = conciliator.combine_ac.step_bound() + 2
-        return 2 * inner + 3 + combine, True
-    return conciliator.step_bound(), True
-
-
 def _conciliator_stack(
     make: Callable[[int], Conciliator]
 ) -> Callable[[int, Sequence[Any]], BuiltStack]:
     def build(n: int, inputs: Sequence[Any]) -> BuiltStack:
         conciliator = make(n)
-        budget, exact = conciliator_budget(conciliator)
         return BuiltStack(
-            [conciliator.program] * n, budget, exact,
+            [conciliator.program] * n, conciliator.step_bound(), True,
             conciliator=conciliator,
         )
 
@@ -204,7 +184,7 @@ def _consensus_stack(
     def build(n: int, inputs: Sequence[Any]) -> BuiltStack:
         protocol = make(n, inputs)
         conciliator, adopt_commit = protocol.phase(0)
-        per_phase = conciliator_budget(conciliator)[0] + adopt_commit.step_bound()
+        per_phase = conciliator.step_bound() + adopt_commit.step_bound()
         return BuiltStack(
             [protocol.program] * n, GEOMETRIC_PHASES * per_phase, False
         )
@@ -258,52 +238,11 @@ def ladder_stack_names() -> List[str]:
 
 # ----- the honest registry --------------------------------------------------
 
-register_stack(StackSpec(
-    "snapshot", CONCILIATOR,
-    _conciliator_stack(lambda n: SnapshotConciliator(n)),
-))
-register_stack(StackSpec(
-    "snapshot-maxreg", CONCILIATOR,
-    _conciliator_stack(lambda n: SnapshotConciliator(n, use_max_registers=True)),
-))
-register_stack(StackSpec(
-    "indirect-snapshot", CONCILIATOR,
-    _conciliator_stack(lambda n: IndirectSnapshotConciliator(n)),
-))
-register_stack(StackSpec(
-    "emulated-snapshot", CONCILIATOR,
-    _conciliator_stack(lambda n: EmulatedSnapshotConciliator(n)),
-))
-register_stack(StackSpec(
-    "sifting", CONCILIATOR,
-    _conciliator_stack(lambda n: SiftingConciliator(n)),
-))
-register_stack(StackSpec(
-    "sifting-anonymous", CONCILIATOR,
-    _conciliator_stack(lambda n: SiftingConciliator(n, anonymous=True)),
-))
-register_stack(StackSpec(
-    "cil-embedded", CONCILIATOR,
-    _conciliator_stack(lambda n: CILEmbeddedConciliator(n)),
-))
-register_stack(StackSpec(
-    "doubling-cil", CONCILIATOR,
-    _conciliator_stack(lambda n: DoublingCILConciliator(n)),
-))
-register_stack(StackSpec(
-    "naive", CONCILIATOR,
-    _conciliator_stack(lambda n: NaiveConciliator(n)),
-))
-register_stack(StackSpec(
-    "chained-sift-snap", CONCILIATOR,
-    _conciliator_stack(lambda n: ChainedConciliator(
-        [
-            SiftingConciliator(n, name="chained.sift"),
-            SnapshotConciliator(n, name="chained.snap"),
-        ],
-        name="chained-sift-snap",
-    )),
-))
+for _record in catalog.CATALOG:
+    register_stack(StackSpec(
+        _record.name, CONCILIATOR, _conciliator_stack(_record.factory),
+        attribution=_record.attribution,
+    ))
 
 register_stack(StackSpec(
     "snapshot-ac", ADOPT_COMMIT,
@@ -345,25 +284,11 @@ register_stack(StackSpec(
 
 # ----- the model ladder -------------------------------------------------------
 #
-# Every conciliator crossed with {regular, safe} register semantics and
-# {late-δ, noisy-σ} adversaries: the robustness envelope the probe report
+# Every catalog conciliator crossed with {regular, safe} register semantics
+# and {late-δ, noisy-σ} adversaries: the robustness envelope the probe report
 # and the nightly weakened-model soak sweep.  Ladder stacks reuse the base
 # stack's builder/budget verbatim — only the model the scenario runs under
 # changes — and are excluded from the default draw (see ``ladder=True``).
-
-#: Conciliator stacks the ladder crosses (the honest conciliators above).
-_LADDER_CONCILIATORS = (
-    "snapshot",
-    "snapshot-maxreg",
-    "indirect-snapshot",
-    "emulated-snapshot",
-    "sifting",
-    "sifting-anonymous",
-    "cil-embedded",
-    "doubling-cil",
-    "naive",
-    "chained-sift-snap",
-)
 
 #: The ladder's register-model axis (atomic is the baseline, not a rung).
 _LADDER_MODELS = (
@@ -380,7 +305,7 @@ _LADDER_ADVERSARIES = (
     AdversarySpec("noisy", inner="pending-reads", noise=0.8),
 )
 
-for _base in _LADDER_CONCILIATORS:
+for _base in catalog.names():
     _spec = STACKS[_base]
     for _model in _LADDER_MODELS:
         for _adversary in _LADDER_ADVERSARIES:

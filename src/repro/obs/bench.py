@@ -198,8 +198,12 @@ def _case_simulator_step(sizing: _Sizing, seed: int) -> Dict[str, Any]:
     )
 
 
-def _conciliator_case(factory: Callable[[int], Any]):
+def _conciliator_case(algorithm: str):
     def case(sizing: _Sizing, seed: int) -> Dict[str, Any]:
+        from repro import catalog
+
+        factory = catalog.get(algorithm).factory
+
         def build(seeds: SeedTree):
             conciliator = factory(sizing.n)
             return ([conciliator.program] * sizing.n,
@@ -226,24 +230,6 @@ def _case_consensus(sizing: _Sizing, seed: int) -> Dict[str, Any]:
         build, n=sizing.n, trials=sizing.trials, seed=seed,
         hooks_factory=_metrics_hooks,
     )
-
-
-def _snapshot_factory(n: int):
-    from repro.core.snapshot_conciliator import SnapshotConciliator
-
-    return SnapshotConciliator(n)
-
-
-def _sifting_factory(n: int):
-    from repro.core.sifting_conciliator import SiftingConciliator
-
-    return SiftingConciliator(n)
-
-
-def _cil_factory(n: int):
-    from repro.core.cil_embedded import CILEmbeddedConciliator
-
-    return CILEmbeddedConciliator(n)
 
 
 def _case_late_adversary_sifting(sizing: _Sizing, seed: int) -> Dict[str, Any]:
@@ -362,7 +348,7 @@ def _numpy_available() -> bool:
     return numpy_available()
 
 
-def _vectorized_case(factory: Callable[[int], Any], family: str):
+def _vectorized_case(algorithm: str, family: str):
     """A mass-trial case: one batched sweep, measured as a single call.
 
     The whole sweep is one kernel invocation, so there is no per-trial
@@ -371,7 +357,10 @@ def _vectorized_case(factory: Callable[[int], Any], family: str):
     """
 
     def case(sizing: _Sizing, seed: int) -> Dict[str, Any]:
+        from repro import catalog
         from repro.runtime.vectorized import run_vectorized_sweep
+
+        factory = catalog.get(algorithm).factory
 
         # Untimed warm-up: the generator cases amortize import/allocator
         # warm-up across hundreds of timed trials; this case is a single
@@ -419,15 +408,15 @@ _SUITE: Dict[str, Tuple[Callable[[_Sizing, int], Dict[str, Any]],
         _case_simulator_step, _Sizing(n=8, trials=30), _Sizing(n=8, trials=100),
     ),
     "snapshot-conciliator": (
-        _conciliator_case(_snapshot_factory),
+        _conciliator_case("snapshot"),
         _Sizing(n=16, trials=300), _Sizing(n=32, trials=500),
     ),
     "sifting-conciliator": (
-        _conciliator_case(_sifting_factory),
+        _conciliator_case("sifting"),
         _Sizing(n=16, trials=300), _Sizing(n=32, trials=500),
     ),
     "cil-embedded": (
-        _conciliator_case(_cil_factory),
+        _conciliator_case("cil-embedded"),
         _Sizing(n=16, trials=200), _Sizing(n=32, trials=300),
     ),
     "consensus": (
@@ -437,11 +426,11 @@ _SUITE: Dict[str, Tuple[Callable[[_Sizing, int], Dict[str, Any]],
     # mode still pushes tens of millions of charged steps through the
     # kernels — enough that steps/sec is stable, still well under a second.
     "vectorized-sifting": (
-        _vectorized_case(_sifting_factory, "permuted"),
+        _vectorized_case("sifting", "permuted"),
         _Sizing(n=64, trials=16384), _Sizing(n=64, trials=65536),
     ),
     "vectorized-snapshot": (
-        _vectorized_case(_snapshot_factory, "interleaved"),
+        _vectorized_case("snapshot", "interleaved"),
         _Sizing(n=64, trials=16384), _Sizing(n=64, trials=65536),
     ),
     # The choosing-adversary path runs the same step loop plus the wrapper

@@ -72,6 +72,7 @@ __all__ = [
     "VECTOR_BACKENDS",
     "VECTORIZED_BLOCK_TRIALS",
     "VectorizedSweep",
+    "max_priority_range",
     "numpy_available",
     "run_vectorized_sweep",
     "supported_families",
@@ -147,6 +148,14 @@ class _Plan:
         return self.rounds * self.ops_per_round
 
 
+def max_priority_range(n: int) -> int:
+    """Largest snapshot priority range the kernel packs into int64 keys:
+    ``(range + 1) * mult + n <= 2**63`` for keys ``priority * mult + origin``,
+    ``mult`` the next power of two at or above ``n``."""
+    mult = 1 << (n - 1).bit_length() if n > 1 else 2
+    return (2**63 - n) // mult - 1
+
+
 def _plan_for(conciliator: Any) -> _Plan:
     """Map a conciliator instance onto a vectorized kernel, or refuse."""
     from repro.baselines.doubling_cil import DoublingCILConciliator
@@ -170,9 +179,8 @@ def _plan_for(conciliator: Any) -> _Plan:
     if isinstance(conciliator, SnapshotConciliator):
         # One update + one scan per round; the max-register variant adopts
         # by the same (priority, origin) maximum over preceding writes, so
-        # it shares the kernel.  mult mirrors the kernel's key packing.
-        mult = 1 << (conciliator.n - 1).bit_length() if conciliator.n > 1 else 2
-        if conciliator.priority_range * mult + conciliator.n >= 2**63:
+        # it shares the kernel.
+        if conciliator.priority_range > max_priority_range(conciliator.n):
             raise ConfigurationError(
                 "priority_range * n overflows the vectorized kernel's "
                 "int64 adoption keys; use the generator backend"

@@ -5,8 +5,8 @@ seeded round pushed through the PR 1 generator engine
 (:func:`repro.runtime.simulator.run_programs`) or, when the service has
 degraded under overload, the PR 6 vectorized backend
 (:func:`repro.runtime.vectorized.run_vectorized_sweep` with a single
-trial).  :data:`ALGORITHMS` mirrors the CLI's conciliator catalog so a
-session can name any algorithm the sweeps can.
+trial).  :data:`ALGORITHMS` holds the :mod:`repro.catalog` algorithms
+the CLI exposes, so a session can name any algorithm the sweeps can.
 
 Simulated rounds are CPU work, not I/O: under the deterministic loadtest
 they run inline on the event loop (blocking is fine — the virtual clock
@@ -27,12 +27,9 @@ harder — a correct answer slowly beats a wrong answer fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
-from repro.baselines.doubling_cil import DoublingCILConciliator
-from repro.core.cil_embedded import CILEmbeddedConciliator
-from repro.core.sifting_conciliator import SiftingConciliator
-from repro.core.snapshot_conciliator import SnapshotConciliator
+from repro import catalog
 from repro.errors import ConfigurationError
 from repro.runtime.rng import SeedTree, derive_seed
 from repro.runtime.simulator import run_programs
@@ -51,23 +48,11 @@ __all__ = [
     "vectorized_eligible",
 ]
 
-#: Session-visible algorithm catalog (name -> factory taking ``n``).
+#: Session-visible algorithms (name -> factory taking ``n``), derived from
+#: the catalog.  :func:`execute_session` resolves factories here at call
+#: time, so wrapping an entry instruments every later session.
 ALGORITHMS: Dict[str, Callable[[int], Any]] = {
-    "snapshot": lambda n: SnapshotConciliator(n),
-    "snapshot-maxreg": lambda n: SnapshotConciliator(
-        n, use_max_registers=True
-    ),
-    "sifting": lambda n: SiftingConciliator(n),
-    "cil-embedded": lambda n: CILEmbeddedConciliator(n),
-    "doubling-cil": lambda n: DoublingCILConciliator(n),
-}
-
-#: Catalog name -> vectorized kernel name, for the algorithms that have one.
-_VECTOR_KERNELS = {
-    "sifting": "sifting",
-    "snapshot": "snapshot",
-    "snapshot-maxreg": "snapshot",
-    "doubling-cil": "cil",
+    record.name: record.factory for record in catalog.CATALOG if record.exposed
 }
 
 
@@ -102,10 +87,12 @@ def vectorized_eligible(request: SessionRequest) -> bool:
     requested schedule family in fast (non-oracle) mode, and NumPy is
     present.  Ineligible sessions simply stay on the generator path.
     """
-    kernel = _VECTOR_KERNELS.get(request.algorithm)
-    if kernel is None:
+    if request.algorithm not in ALGORITHMS:
         return False
-    if request.schedule_family not in supported_families(kernel, False):
+    kernel = catalog.get(request.algorithm).kernel
+    if kernel is None or (
+        request.schedule_family not in supported_families(kernel, False)
+    ):
         return False
     return numpy_available()
 

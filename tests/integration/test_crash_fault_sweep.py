@@ -16,15 +16,13 @@ Both realizations are in-model and must agree: the survivors see the same
 subsequence of slots either way, so their outputs are identical.
 """
 
+from functools import partial
 from itertools import chain, combinations
 
 import pytest
 
-from repro.baselines.doubling_cil import DoublingCILConciliator
-from repro.core.cil_embedded import CILEmbeddedConciliator
+from repro import catalog
 from repro.core.conciliator import run_conciliator
-from repro.core.sifting_conciliator import SiftingConciliator
-from repro.core.snapshot_conciliator import SnapshotConciliator
 from repro.runtime.faults import CrashFault, FaultPlan
 from repro.runtime.monitors import ValidityMonitor
 from repro.runtime.rng import SeedTree
@@ -33,12 +31,10 @@ from repro.runtime.scheduler import CrashSchedule, RoundRobinSchedule
 N = 3
 INPUTS = list(range(N))
 
+#: The catalog algorithms the CLI and service expose, built at ``N``.
 CONCILIATORS = {
-    "snapshot": lambda: SnapshotConciliator(N),
-    "snapshot-maxreg": lambda: SnapshotConciliator(N, use_max_registers=True),
-    "sifting": lambda: SiftingConciliator(N),
-    "cil-embedded": lambda: CILEmbeddedConciliator(N),
-    "doubling-cil": lambda: DoublingCILConciliator(N),
+    name: partial(catalog.get(name).factory, N)
+    for name in catalog.names("exposed")
 }
 
 # Every subset of processes, including nobody and everybody.

@@ -24,7 +24,7 @@ from repro.core.conciliator import run_conciliator
 from repro.core.sifting_conciliator import SiftingConciliator
 from repro.core.snapshot_conciliator import SnapshotConciliator
 from repro.fuzz import FuzzConfig, load_corpus, run_fuzz_campaign
-from repro.fuzz.explain import STACK_ALGORITHMS, explain_case
+from repro.fuzz.explain import explain_case
 from repro.obs.analyze import attribute_steps
 from repro.obs.tracing import TraceRecorder
 from repro.runtime.rng import SeedTree
@@ -202,11 +202,15 @@ class TestWorkerCountInvariance:
 
 class TestStackAlgorithmMap:
     def test_mapped_stacks_have_valid_predictions(self):
-        from repro.fuzz.stacks import stack_names
+        from repro.fuzz.stacks import get_stack, stack_names
 
-        known = set(stack_names(include_planted=True))
-        for stack, (algorithm, epsilon) in STACK_ALGORITHMS.items():
-            assert stack in known, f"{stack} is not a registered stack"
+        mapped = [
+            get_stack(stack).attribution
+            for stack in stack_names(include_planted=True)
+            if get_stack(stack).attribution is not None
+        ]
+        assert len(mapped) == 6
+        for algorithm, epsilon in mapped:
             predicted = predicted_attribution(algorithm, 4, epsilon)
             assert predicted["rounds"] >= 1
             assert predicted["individual_steps"] >= 1

@@ -26,13 +26,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 pytest.importorskip("numpy")
 
+from repro import catalog
 from repro.analysis.experiments import (
     decay_series,
     run_conciliator_trials,
     trial_seed_tree,
 )
 from repro.analysis.stats import fisher_exact_two_sided
-from repro.baselines.doubling_cil import DoublingCILConciliator
 from repro.core.conciliator import run_conciliator
 from repro.core.sifting_conciliator import SiftingConciliator
 from repro.core.snapshot_conciliator import SnapshotConciliator
@@ -47,20 +47,13 @@ needs_fork = pytest.mark.skipif(
     not supports_fork(), reason="sharded execution requires the fork start method"
 )
 
+#: Every catalog algorithm with a vectorized kernel (name -> factory).
 FACTORIES = {
-    "sifting": lambda n: SiftingConciliator(n),
-    "snapshot": lambda n: SnapshotConciliator(n),
-    "snapshot-maxreg": lambda n: SnapshotConciliator(n, use_max_registers=True),
-    "cil": lambda n: DoublingCILConciliator(n),
+    name: catalog.get(name).factory for name in catalog.names("kernel")
 }
 
-#: Conciliator kind -> kernel algorithm (for supported_families lookups).
-ALGORITHMS = {
-    "sifting": "sifting",
-    "snapshot": "snapshot",
-    "snapshot-maxreg": "snapshot",
-    "cil": "cil",
-}
+#: Catalog name -> kernel algorithm (for supported_families lookups).
+ALGORITHMS = {name: catalog.get(name).kernel for name in FACTORIES}
 
 EQUIVALENCE_SETTINGS = settings(
     max_examples=8,
@@ -156,7 +149,7 @@ class TestFastModeDeterminism:
 
     @EQUIVALENCE_SETTINGS
     @given(
-        kind=st.sampled_from(["sifting", "snapshot", "cil"]),
+        kind=st.sampled_from(["sifting", "snapshot", "doubling-cil"]),
         n=st.integers(min_value=2, max_value=6),
         small=st.integers(min_value=1, max_value=20),
         extra=st.integers(min_value=1, max_value=30),
@@ -262,7 +255,7 @@ class TestStatisticalEquivalence:
     @pytest.mark.parametrize("kind,family", [
         ("sifting", "permuted"),
         ("snapshot", "interleaved"),
-        ("cil", "permuted"),
+        ("doubling-cil", "permuted"),
     ])
     def test_agreement_rates_indistinguishable(self, kind, family):
         n = 6

@@ -31,6 +31,16 @@ class TestConfiguration:
         assert conciliator.write_probability == pytest.approx(1 / 40)
 
 
+class TestStepBound:
+    @pytest.mark.parametrize("n", list(range(1, 301)) + [10**3, 4096, 10**5])
+    def test_matches_independent_closed_form(self, n):
+        from repro.analysis.theory import cil_individual_step_bound
+
+        assert CILEmbeddedConciliator(n).step_bound() == (
+            cil_individual_step_bound(n)
+        )
+
+
 class TestExecution:
     def test_terminates_and_valid(self):
         n = 8

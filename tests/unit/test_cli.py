@@ -87,6 +87,38 @@ class TestDecayPlot:
         assert "┤" in output  # the chart axis
 
 
+class TestBrokenPipe:
+    """``repro ... | head`` closes stdout early: exit quietly, no traceback."""
+
+    # Closing after the first line is the ``| head -1`` race; closing at
+    # once, while the command still computes, makes its first write fail.
+    @pytest.mark.parametrize("read_first_line", [True, False])
+    def test_closed_pipe_exits_without_traceback(self, read_first_line):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "decay", "--algorithm",
+             "sifting", "--n", "16", "--trials", "8", "--plot"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        if read_first_line:
+            assert process.stdout.readline()
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        process.wait(timeout=120)
+        process.stderr.close()
+        assert "Traceback" not in stderr, stderr
+        # Output that fit in the pipe before the close still exits 0.
+        assert process.returncode in ((0, 1) if read_first_line else (1,))
+
+
 class TestSearchCommand:
     def test_reports_worst_found_rate(self, capsys):
         code = main(["search", "--n", "4", "--generations", "2",

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import catalog
 from repro.analysis.growth import (
-    GROWTH_ALGORITHMS,
     GROWTH_SCHEMA_VERSION,
     compare_growth,
     decades,
@@ -36,18 +36,20 @@ class TestSweepShape:
         assert all(count >= 4 for count in counts)
 
     def test_algorithm_order_is_fast_classes_first(self):
-        assert GROWTH_ALGORITHMS == ("snapshot", "sifting", "doubling-cil")
+        assert catalog.names("growth_class") == (
+            "snapshot", "sifting", "doubling-cil",
+        )
 
 
 class TestSafePriorityRange:
     def test_cap_respects_vectorized_packing_guard(self):
         # The cap must satisfy the kernel's `range * mult + n < 2**63`
         # packing bound and stay above n^2 (the duplicate-priority bound).
-        from repro.analysis.growth import _max_safe_priority_range
+        from repro.runtime.vectorized import max_priority_range
 
         for n in (10**5, 10**6):
             mult = 1 << (n - 1).bit_length()
-            safe = _max_safe_priority_range(n)
+            safe = max_priority_range(n)
             assert safe * mult + n < 2**63
             assert (safe + 2) * mult + n >= 2**63
             assert safe >= n * n

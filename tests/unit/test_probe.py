@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.probe import PROBE_ALGORITHMS, ProbeReport, run_probe
+from repro import catalog
+from repro.analysis.probe import ProbeReport, run_probe
 from repro.errors import ConfigurationError
 from repro.runtime.adversary import ADVERSARY_LADDER
 
@@ -80,7 +81,7 @@ class TestRunProbe:
             run_probe(inner="nope", trials=1)
 
     def test_algorithms_cover_both_papers_algorithms(self):
-        assert set(PROBE_ALGORITHMS) == {"sifting", "snapshot"}
+        assert set(catalog.names("decay_bound")) == {"sifting", "snapshot"}
 
     def test_small_probe_is_deterministic(self):
         kwargs = dict(n=3, trials=4, seed=5, algorithms=("sifting",))
