@@ -9,7 +9,7 @@ behaviour.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Collection, Dict, Optional
 
 __all__ = [
     "ReproError",
@@ -44,7 +44,7 @@ class _DiagnosableRunError(SimulationError):
         self,
         message: str,
         *,
-        unfinished_pids: Optional[Sequence[int]] = None,
+        unfinished_pids: Optional[Collection[int]] = None,
         steps_by_pid: Optional[Dict[int, int]] = None,
     ):
         self.unfinished_pids = (

@@ -158,6 +158,9 @@ class SnapshotObject(SharedObject):
         self.sparse = sparse if sparse is not None else n >= SPARSE_AUTO_THRESHOLD
         self._dense: List[Any] = [] if self.sparse else [None] * n
         self._sparse: Dict[int, Any] = {}
+        # Non-None dense components, kept current by _set so an atomic
+        # scan records its view size without counting the view.
+        self._filled = 0
         self._semantics: Optional["SemanticsResolver"] = None
         self.update_count = 0
         self.scan_count = 0
@@ -178,7 +181,9 @@ class SnapshotObject(SharedObject):
         if self.sparse:
             self._sparse[index] = value
         else:
-            self._dense[index] = value
+            dense = self._dense
+            self._filled += (value is not None) - (dense[index] is not None)
+            dense[index] = value
 
     def _touched_items(self) -> Tuple[Tuple[int, Any], ...]:
         return tuple(sorted(self._sparse.items()))
@@ -200,10 +205,13 @@ class SnapshotObject(SharedObject):
         if isinstance(operation, Scan):
             self.scan_count += 1
             view = self._scan_view(pid)
-            self._view_sizes.append(
-                view.touched() if isinstance(view, SparseView)
-                else sum(1 for item in view if item is not None)
-            )
+            if self.sparse:
+                size = view.touched()
+            elif self._semantics is None:
+                size = self._filled  # the view is a copy of the components
+            else:
+                size = len([item for item in view if item is not None])
+            self._view_sizes.append(size)
             return view
         return self._reject(operation)
 
@@ -244,7 +252,7 @@ class SnapshotObject(SharedObject):
         """Number of components ever updated (allocated cells when sparse)."""
         if self.sparse:
             return len(self._sparse)
-        return sum(1 for item in self._dense if item is not None)
+        return self._filled
 
     @property
     def view_sizes(self) -> List[int]:

@@ -13,10 +13,10 @@ Each yielded operation is executed atomically by the simulator and costs the
 process exactly one step, which matches the unit-cost step measure used by
 the paper for both registers and snapshots.
 
-Operations are small frozen dataclasses rather than direct method calls so
-that (a) the simulator is the only code that can mutate shared objects, which
-makes atomicity a structural property instead of a convention, and (b) every
-step can be traced and counted uniformly.
+Operations are small frozen, slotted dataclasses rather than direct method
+calls so that (a) the simulator is the only code that can mutate shared
+objects, which makes atomicity a structural property instead of a
+convention, and (b) every step can be traced and counted uniformly.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 __all__ = ["Operation", "Read", "Write", "Update", "Scan", "MaxRead", "MaxWrite"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """Base class for one atomic shared-memory operation request.
 
@@ -46,26 +46,26 @@ class Operation:
         return type(self).__name__.lower()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Read(Operation):
     """Read an atomic register; result is its current value."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Write(Operation):
     """Write ``value`` to an atomic register; result is ``None``."""
 
     value: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Update(Operation):
     """Update the invoking process's component of a snapshot object."""
 
     value: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scan(Operation):
     """Atomically read all components of a snapshot object.
 
@@ -75,12 +75,12 @@ class Scan(Operation):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaxRead(Operation):
     """Read the largest value ever written to a max register (footnote 1)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaxWrite(Operation):
     """Write ``value`` to a max register; retained only if it is the max."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, NoReturn, Optional
 
 from repro.errors import SimulationError
 from repro.runtime.operations import Operation
@@ -59,38 +59,35 @@ class Process:
 
     A process that raises is a bug in the protocol, not an adversary move, so
     exceptions propagate wrapped in :class:`SimulationError`.
+
+    The state the step loop reads on every slot is held in plain slots
+    rather than properties; treat them as read-only.
+
+    Attributes:
+        finished: True once the program has returned.
+        output: the program's return value; only meaningful once finished.
+        pending_operation: the operation this process will execute at its
+            next step (``None`` before :meth:`start` and once finished).
     """
+
+    __slots__ = ("context", "finished", "output", "pending_operation",
+                 "_program", "_generator")
 
     def __init__(self, context: ProcessContext, program: Program):
         self.context = context
+        self.finished = False
+        self.output: Any = None
+        self.pending_operation: Optional[Operation] = None
         self._program = program
         self._generator: Optional[Generator[Operation, Any, Any]] = None
-        self._pending: Optional[Operation] = None
-        self._finished = False
-        self._output: Any = None
 
     @property
     def pid(self) -> int:
         return self.context.pid
 
     @property
-    def finished(self) -> bool:
-        """True once the program has returned."""
-        return self._finished
-
-    @property
-    def output(self) -> Any:
-        """The program's return value; only meaningful once finished."""
-        return self._output
-
-    @property
-    def pending_operation(self) -> Optional[Operation]:
-        """The operation this process will execute at its next step."""
-        return self._pending
-
-    @property
     def started(self) -> bool:
-        return self._generator is not None or self._finished
+        return self._generator is not None or self.finished
 
     def start(self) -> None:
         """Prime the program up to its first operation request."""
@@ -105,7 +102,9 @@ class Process:
             self._finish(stop.value)
             return
         self._generator = generator
-        self._set_pending(first)
+        if not isinstance(first, Operation):
+            self._reject(first)
+        self.pending_operation = first
 
     def complete_step(self, result: Any) -> None:
         """Deliver ``result`` for the pending operation and advance.
@@ -114,31 +113,32 @@ class Process:
         operation atomically.  Runs the program's local code up to its next
         operation request (or its return).
         """
-        if self._finished or self._generator is None:
+        generator = self._generator
+        if generator is None:  # never started, or already finished
             raise SimulationError(
                 f"process {self.pid} received a step result while not running"
             )
         try:
-            nxt = self._generator.send(result)
+            nxt = generator.send(result)
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        self._set_pending(nxt)
+        if not isinstance(nxt, Operation):
+            self._reject(nxt)
+        self.pending_operation = nxt
 
-    def _set_pending(self, operation: Operation) -> None:
-        if not isinstance(operation, Operation):
-            raise SimulationError(
-                f"process {self.pid} yielded {operation!r}, which is not an "
-                "Operation; protocol programs must yield operation requests"
-            )
-        self._pending = operation
+    def _reject(self, value: Any) -> NoReturn:
+        raise SimulationError(
+            f"process {self.pid} yielded {value!r}, which is not an "
+            "Operation; protocol programs must yield operation requests"
+        )
 
     def _finish(self, output: Any) -> None:
-        self._finished = True
-        self._output = output
-        self._pending = None
+        self.finished = True
+        self.output = output
+        self.pending_operation = None
         self._generator = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "finished" if self._finished else ("running" if self.started else "new")
+        state = "finished" if self.finished else ("running" if self.started else "new")
         return f"Process(pid={self.pid}, state={state})"

@@ -241,9 +241,17 @@ class RandomSchedule(Schedule):
         self.seed = seed
 
     def __iter__(self) -> Iterator[int]:
-        rng = random.Random(self.seed)
+        # ``Random.randrange(n)``'s own rejection loop, inlined: draw
+        # ``n.bit_length()`` bits until the value is below ``n``.  The
+        # stream is bit-identical to ``randrange`` (a unit test pins it).
+        getrandbits = random.Random(self.seed).getrandbits
+        n = self.n
+        bits = n.bit_length()
         while True:
-            yield rng.randrange(self.n)
+            pid = getrandbits(bits)
+            while pid >= n:
+                pid = getrandbits(bits)
+            yield pid
 
 
 class BlockSchedule(Schedule):

@@ -30,7 +30,8 @@ from repro.errors import (
     SimulationError,
     StepLimitExceededError,
 )
-from repro.runtime.faults import CRASH, SKIP, StepHook
+from repro.runtime.faults import CRASH, SKIP, InterceptedResult, StepHook
+from repro.runtime.operations import Operation
 from repro.runtime.process import Process, ProcessContext, Program
 from repro.runtime.results import RunResult
 from repro.runtime.rng import SeedTree
@@ -82,14 +83,16 @@ class Simulator:
             astronomically unlucky seed.
         hooks: :class:`~repro.runtime.faults.StepHook` instances consulted
             at every slot — fault injectors first, then monitors, so
-            monitors observe the post-fault execution.  With no hooks at
-            all the step loop takes a guarded fast path that executes no
-            hook machinery whatsoever, so observability costs nothing
-            when it is not attached.
+            monitors observe the post-fault execution.  Hooked and
+            unhooked runs share one step loop; with no hooks it tests a
+            few locals per step and runs no hook machinery, so
+            observability costs next to nothing when it is not attached.
         skip_guard: consecutive free-slot threshold before the run is
-            declared starved (default ``max(100_000, 1_000 * n)``).  Fault
-            sweeps that starve processes on purpose lower it so stuck runs
-            fail fast.
+            declared starved (default ``max(100_000, 1_000 * n)``).  Free
+            slots are those naming a finished or crashed process, or a pid
+            with no process (a schedule may cover more pids than there are
+            processes), plus slots withheld by a hook.  Fault sweeps that
+            starve processes on purpose lower it so stuck runs fail fast.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`; when
             given, a :class:`~repro.obs.metrics.MetricsHook` is appended to
             the hook list and the registry is surfaced on
@@ -132,7 +135,9 @@ class Simulator:
         self.skip_guard = skip_guard
         self.trace: Optional[TraceRecorder] = TraceRecorder() if record_trace else None
         self._steps_by_pid: Dict[int, int] = {pid: 0 for pid in self.processes}
-        self._unfinished = set(self.processes)
+        # The processes still to finish, keyed by pid: finished and crashed
+        # processes leave it, so one lookup tells the loop a slot is free.
+        self._unfinished: Dict[int, Process] = dict(self.processes)
         self._crashed: set = set()
 
     @property
@@ -150,16 +155,16 @@ class Simulator:
         crashed by a fault hook do not count as unfinished: wait-freedom
         demands only that the survivors terminate.
         """
-        self._emit("on_run_start", self)
+        emit = self._emit
+        live = self._unfinished
+        emit("on_run_start", self)
         for process in self.processes.values():
             if not process.started:
                 process.start()
             if process.finished:
-                self._unfinished.discard(process.pid)
-                self._emit("on_finish", process.pid, process.output,
-                           pid=process.pid)
+                live.pop(process.pid, None)
+                emit("on_finish", process.pid, process.output, pid=process.pid)
 
-        step_index = 0
         # Starvation guard: an infinite schedule that never again names an
         # unfinished process (e.g. after crashes) would spin forever on free
         # no-ops; after this many consecutive skips we declare starvation.
@@ -168,79 +173,8 @@ class Simulator:
             if self.skip_guard is not None
             else max(100_000, 1_000 * self.n)
         )
-        consecutive_skips = 0
-        # Guarded fast path: with no hooks attached, the hot loop below
-        # performs zero hook machinery (no consult, no emit, no intercept
-        # scan) — observability is strictly pay-for-what-you-attach.
-        has_hooks = bool(self.hooks)
-        if self._unfinished:
-            for pid in self.schedule:
-                if pid not in self.processes:
-                    continue
-                process = self.processes[pid]
-                if process.finished or pid in self._crashed:
-                    # Free no-op: the model does not charge finished (or
-                    # crashed) processes for slots they no longer use.
-                    consecutive_skips += 1
-                    if consecutive_skips >= skip_guard:
-                        if allow_partial:
-                            break
-                        raise ScheduleExhaustedError(
-                            f"processes {sorted(self._unfinished)} appear "
-                            f"starved: {skip_guard} consecutive slots went to "
-                            "finished or crashed processes",
-                            unfinished_pids=self._unfinished,
-                            steps_by_pid=self._steps_by_pid,
-                        )
-                    continue
-                action = (
-                    self._consult_hooks(pid, step_index, process)
-                    if has_hooks else None
-                )
-                if action == CRASH:
-                    self._crash(pid)
-                    if not self._unfinished:
-                        break
-                    continue
-                if action == SKIP:
-                    self._emit("on_skip", pid, step_index,
-                               pid=pid, step=step_index)
-                    consecutive_skips += 1
-                    if consecutive_skips >= skip_guard:
-                        if allow_partial:
-                            break
-                        raise ScheduleExhaustedError(
-                            f"processes {sorted(self._unfinished)} appear "
-                            f"starved: {skip_guard} consecutive slots were "
-                            "withheld by fault injection",
-                            unfinished_pids=self._unfinished,
-                            steps_by_pid=self._steps_by_pid,
-                        )
-                    continue
-                consecutive_skips = 0
-                self._execute_one(process, step_index)
-                step_index += 1
-                if step_index > self.step_limit:
-                    raise StepLimitExceededError(
-                        f"run exceeded step limit {self.step_limit}",
-                        unfinished_pids=self._unfinished,
-                        steps_by_pid=self._steps_by_pid,
-                    )
-                if process.finished:
-                    self._unfinished.discard(pid)
-                    if has_hooks:
-                        self._emit("on_finish", pid, process.output,
-                                   pid=pid, step=step_index)
-                    if not self._unfinished:
-                        break
-            else:
-                if not allow_partial and self._unfinished:
-                    raise ScheduleExhaustedError(
-                        f"schedule ended with processes {sorted(self._unfinished)} "
-                        "unfinished",
-                        unfinished_pids=self._unfinished,
-                        steps_by_pid=self._steps_by_pid,
-                    )
+        if live:
+            self._loop(skip_guard, allow_partial)
 
         outputs = {
             pid: process.output
@@ -251,13 +185,123 @@ class Simulator:
             n=self.n,
             outputs=outputs,
             steps_by_pid=dict(self._steps_by_pid),
-            completed=not self._unfinished and not self._crashed,
+            completed=not live and not self._crashed,
             trace=self.trace,
             crashed=frozenset(self._crashed),
             metrics=self.metrics,
         )
-        self._emit("on_run_end", result)
+        emit("on_run_end", result)
         return result
+
+    def _loop(self, skip_guard: int, allow_partial: bool) -> None:
+        """The step loop, one copy for hooked and unhooked runs alike.
+
+        Everything a slot touches is hoisted into locals, and hook and
+        trace work sits behind tests of locals (``has_hooks``, ``trace``),
+        so an unhooked run pays a few branch tests per step and no hook
+        machinery.  The loop keeps going through
+        ``iter(schedule)``, ``SharedObject.apply`` and
+        ``Process.complete_step``: those are the seams at which the
+        step-cost ledger times the schedule, memory and protocol layers.
+        """
+        live = self._unfinished
+        steps_by_pid = self._steps_by_pid
+        has_hooks = bool(self.hooks)
+        trace = self.trace
+        step_limit = self.step_limit
+        find_live = live.get
+        step_index = 0
+        consecutive_skips = 0
+        for pid in self.schedule:
+            process = find_live(pid)
+            if process is None:
+                # Free no-op: the model does not charge finished (or
+                # crashed) processes for slots they no longer use; a pid
+                # with no process at all is wasted the same way.
+                consecutive_skips += 1
+                if consecutive_skips >= skip_guard:
+                    if allow_partial:
+                        return
+                    raise ScheduleExhaustedError(
+                        f"processes {sorted(live)} appear "
+                        f"starved: {skip_guard} consecutive slots went to "
+                        "finished, crashed or absent processes",
+                        unfinished_pids=live,
+                        steps_by_pid=steps_by_pid,
+                    )
+                continue
+            operation = process.pending_operation
+            if has_hooks:
+                action = self._consult_hooks(pid, step_index, operation)
+                if action == CRASH:
+                    self._crash(pid)
+                    if not live:
+                        return
+                    continue
+                if action == SKIP:
+                    self._emit("on_skip", pid, step_index,
+                               pid=pid, step=step_index)
+                    consecutive_skips += 1
+                    if consecutive_skips >= skip_guard:
+                        if allow_partial:
+                            return
+                        raise ScheduleExhaustedError(
+                            f"processes {sorted(live)} appear "
+                            f"starved: {skip_guard} consecutive slots were "
+                            "withheld by fault injection",
+                            unfinished_pids=live,
+                            steps_by_pid=steps_by_pid,
+                        )
+                    continue
+            consecutive_skips = 0
+            if operation is None:
+                raise SimulationError(
+                    f"process {pid} scheduled with no pending operation"
+                )
+            intercepted = (
+                self._intercept(pid, step_index, operation) if has_hooks
+                else None
+            )
+            if intercepted is None:
+                result = operation.obj.apply(operation, pid)
+            else:
+                result = intercepted.value
+            steps_by_pid[pid] += 1
+            if trace is not None:
+                trace.record(
+                    TraceEvent(
+                        step=step_index,
+                        pid=pid,
+                        kind=operation.kind,
+                        obj_name=operation.obj.name,
+                        value=getattr(operation, "value", None),
+                        result=result,
+                    )
+                )
+            if has_hooks:
+                self._emit("after_step", pid, step_index, operation, result,
+                           pid=pid, step=step_index)
+            process.complete_step(result)
+            step_index += 1
+            if step_index > step_limit:
+                raise StepLimitExceededError(
+                    f"run exceeded step limit {step_limit}",
+                    unfinished_pids=live,
+                    steps_by_pid=steps_by_pid,
+                )
+            if process.finished:
+                del live[pid]
+                if has_hooks:
+                    self._emit("on_finish", pid, process.output,
+                               pid=pid, step=step_index)
+                if not live:
+                    return
+        if not allow_partial and live:
+            raise ScheduleExhaustedError(
+                f"schedule ended with processes {sorted(live)} unfinished",
+                unfinished_pids=live,
+                steps_by_pid=steps_by_pid,
+            )
 
     def _emit(
         self,
@@ -275,17 +319,14 @@ class Simulator:
                 raise
 
     def _consult_hooks(
-        self, pid: int, step_index: int, process: Process
+        self, pid: int, step_index: int, operation: Optional[Operation]
     ) -> Optional[str]:
         """Ask every hook about this slot; crash wins over skip over execute."""
         action: Optional[str] = None
         for hook in self.hooks:
             try:
                 decision = hook.before_step(
-                    pid,
-                    self._steps_by_pid[pid],
-                    step_index,
-                    process.pending_operation,
+                    pid, self._steps_by_pid[pid], step_index, operation
                 )
             except BaseException as error:
                 _note_hook_failure(error, hook, "before_step",
@@ -297,49 +338,26 @@ class Simulator:
                 action = SKIP
         return action
 
+    def _intercept(
+        self, pid: int, step_index: int, operation: Operation
+    ) -> Optional[InterceptedResult]:
+        """The first hook's replacement result for this step, if any."""
+        for hook in self.hooks:
+            try:
+                intercepted = hook.intercept(pid, operation)
+            except BaseException as error:
+                _note_hook_failure(error, hook, "intercept",
+                                   pid=pid, global_step=step_index)
+                raise
+            if intercepted is not None:
+                return intercepted
+        return None
+
     def _crash(self, pid: int) -> None:
         """Fail-stop ``pid``: it keeps its state but never steps again."""
         self._crashed.add(pid)
-        self._unfinished.discard(pid)
+        del self._unfinished[pid]
         self._emit("on_crash", pid, self._steps_by_pid[pid], pid=pid)
-
-    def _execute_one(self, process: Process, step_index: int) -> None:
-        operation = process.pending_operation
-        if operation is None:
-            raise SimulationError(
-                f"process {process.pid} scheduled with no pending operation"
-            )
-        intercepted = None
-        if self.hooks:
-            for hook in self.hooks:
-                try:
-                    intercepted = hook.intercept(process.pid, operation)
-                except BaseException as error:
-                    _note_hook_failure(error, hook, "intercept",
-                                       pid=process.pid, global_step=step_index)
-                    raise
-                if intercepted is not None:
-                    break
-        if intercepted is not None:
-            result = intercepted.value
-        else:
-            result = operation.obj.apply(operation, process.pid)
-        self._steps_by_pid[process.pid] += 1
-        if self.trace is not None:
-            self.trace.record(
-                TraceEvent(
-                    step=step_index,
-                    pid=process.pid,
-                    kind=operation.kind,
-                    obj_name=operation.obj.name,
-                    value=getattr(operation, "value", None),
-                    result=result,
-                )
-            )
-        if self.hooks:
-            self._emit("after_step", process.pid, step_index, operation,
-                       result, pid=process.pid, step=step_index)
-        process.complete_step(result)
 
 
 def run_programs(

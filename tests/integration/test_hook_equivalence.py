@@ -1,0 +1,113 @@
+"""Hooked and unhooked runs take the same path through the step loop.
+
+The simulator runs with and without hooks in one loop, with the hook work
+behind a local boolean.  A pass-through :class:`StepHook` (every method the
+no-op default) must therefore leave a run exactly as it was: same outputs,
+same per-process step counts, same completion and crash sets, and the same
+errors when a run cannot finish.  This is checked for every catalog
+conciliator plus register consensus under four schedule families and the
+crash-half adversary.
+"""
+
+import pytest
+
+from repro import catalog
+from repro.core.consensus import register_consensus
+from repro.errors import (
+    ScheduleExhaustedError,
+    StepLimitExceededError,
+)
+from repro.runtime.faults import StepHook
+from repro.runtime.rng import SeedTree
+from repro.runtime.scheduler import LimitedSchedule
+from repro.runtime.simulator import run_programs
+from repro.workloads.schedules import make_schedule
+
+N = 6
+INPUTS = list(range(N))
+SEEDS = (3, 2012)
+
+#: Every catalog conciliator plus register consensus (name -> factory).
+PROTOCOLS = {name: catalog.get(name).factory for name in catalog.names()}
+PROTOCOLS["register-consensus"] = lambda n: register_consensus(
+    n, value_domain=list(range(n))
+)
+
+FAMILIES = ("random", "round-robin", "blocks", "permuted", "crash-half")
+
+
+def run(name, schedule, seed, hooked, **options):
+    programs = [PROTOCOLS[name](N).program] * N
+    return run_programs(
+        programs, schedule, SeedTree(seed), inputs=INPUTS,
+        hooks=[StepHook()] if hooked else (), **options,
+    )
+
+
+def observed(result):
+    return (result.outputs, result.steps_by_pid, result.completed,
+            result.crashed)
+
+
+def raised(name, schedule_of, seed, hooked, **options):
+    with pytest.raises((ScheduleExhaustedError, StepLimitExceededError)) as info:
+        run(name, schedule_of(), seed, hooked, **options)
+    error = info.value
+    return type(error), str(error), error.unfinished_pids
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_pass_through_hook_changes_nothing(name, family):
+    for seed in SEEDS:
+        def schedule():
+            return make_schedule(family, N, SeedTree(seed).child("schedule"))
+
+        # crash-half may starve its victims, so it runs partial with a
+        # short starvation guard; the other families always complete.
+        partial = family == "crash-half"
+        options = {"allow_partial": True, "skip_guard": 500} if partial else {}
+        bare = run(name, schedule(), seed, hooked=False, **options)
+        hooked = run(name, schedule(), seed, hooked=True, **options)
+        assert observed(hooked) == observed(bare)
+        assert bare.completed or partial
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+class TestSameErrors:
+    """Each way a run can fail raises identically in both modes."""
+
+    def assert_same(self, name, schedule_of, **options):
+        bare = raised(name, schedule_of, 7, hooked=False, **options)
+        hooked = raised(name, schedule_of, 7, hooked=True, **options)
+        assert hooked == bare
+        assert bare[2], "the error must name the unfinished processes"
+        return bare
+
+    def test_schedule_ends(self, name):
+        kind, message, _ = self.assert_same(
+            name,
+            lambda: LimitedSchedule(
+                make_schedule("random", N, SeedTree(7).child("schedule")), 5
+            ),
+        )
+        assert kind is ScheduleExhaustedError
+        assert "schedule ended" in message
+
+    def test_starvation_guard(self, name):
+        kind, message, _ = self.assert_same(
+            name,
+            lambda: make_schedule("crash-half", N, SeedTree(7).child("schedule")),
+            skip_guard=500,
+        )
+        assert kind is ScheduleExhaustedError
+        assert "starved" in message
+
+    def test_step_limit(self, name):
+        kind, message, _ = self.assert_same(
+            name,
+            lambda: make_schedule("random", N, SeedTree(7).child("schedule")),
+            step_limit=4,
+        )
+        assert kind is StepLimitExceededError
+        assert "step limit 4" in message

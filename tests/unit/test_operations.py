@@ -1,6 +1,7 @@
 """Unit tests for operation request types."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -13,6 +14,14 @@ from repro.runtime.operations import (
     Update,
     Write,
 )
+
+#: Every operation kind, with a sample value for those that carry one.
+KINDS = [(Read, None), (Write, 5), (Update, (1, "a")), (Scan, None),
+         (MaxRead, None), (MaxWrite, 9)]
+
+
+def make(kind, value, register):
+    return kind(register) if value is None else kind(register, value)
 
 
 class TestOperationKinds:
@@ -39,3 +48,41 @@ class TestOperationKinds:
     def test_operation_references_target(self):
         register = AtomicRegister("target")
         assert Read(register).obj is register
+
+
+@pytest.mark.parametrize("kind,value", KINDS)
+class TestValueSemantics:
+    """Operations are frozen, slotted value objects."""
+
+    def test_pickle_round_trip(self, kind, value):
+        register = AtomicRegister("r")
+        original = make(kind, value, register)
+        copy, twin = pickle.loads(
+            pickle.dumps((original, make(kind, value, register)))
+        )
+        assert type(copy) is kind
+        assert copy.obj.name == "r"
+        assert getattr(copy, "value", None) == value
+        assert copy.obj is twin.obj
+        assert copy == twin
+        assert hash(copy) == hash(twin)
+
+    def test_frozen_and_slotted(self, kind, value):
+        operation = make(kind, value, AtomicRegister("r"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            operation.obj = AtomicRegister("s")
+        # A name that is not a field has no slot to land in; depending on
+        # the CPython version the generated __setattr__ refuses it with
+        # FrozenInstanceError or TypeError.
+        with pytest.raises((AttributeError, TypeError)):
+            operation.extra = 1
+        assert not hasattr(operation, "__dict__")
+
+    def test_equality_and_hash(self, kind, value):
+        register = AtomicRegister("r")
+        one, two = make(kind, value, register), make(kind, value, register)
+        assert one == two
+        assert hash(one) == hash(two)
+        assert one != make(kind, value, AtomicRegister("r"))
+        other = Scan(register) if kind is not Scan else Read(register)
+        assert one != other

@@ -1,6 +1,7 @@
 """Unit tests for oblivious schedules."""
 
 import itertools
+import random
 
 import pytest
 
@@ -68,6 +69,16 @@ class TestRandomSchedule:
 
     def test_covers_all_processes_eventually(self):
         assert set(RandomSchedule(6, 0).take(500)) == set(range(6))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2012, 2**40 + 3])
+    def test_draws_equal_randrange(self, seed):
+        # The schedule inlines randrange's rejection loop; every seeded
+        # artifact assumes the two streams stay equal, so a change in
+        # CPython's randrange must fail here rather than drift silently.
+        for n in range(1, 131):
+            rng = random.Random(seed)
+            expected = [rng.randrange(n) for _ in range(1000)]
+            assert RandomSchedule(n, seed).take(1000) == expected, n
 
 
 class TestBlockSchedule:

@@ -179,6 +179,48 @@ class TestFailureModes:
         with pytest.raises(ScheduleExhaustedError, match="starved"):
             run_programs([quick, forever], OnlyZero(), SeedTree(0))
 
+    def test_absent_pid_slots_count_toward_the_guard(self):
+        # A schedule may cover more pids than there are processes; slots
+        # naming a pid with no process are free no-ops like any other, so
+        # a schedule that names only those must trip the guard instead of
+        # spinning.  The schedule is long but finite, so a regression
+        # fails on "schedule ended" rather than hanging.
+        from repro.runtime.scheduler import Schedule
+
+        class ThenOnlyThree(Schedule):
+            n = 4
+
+            def __iter__(self):
+                yield 0
+                for _ in range(2_000_000):
+                    yield 3
+
+        register = AtomicRegister("r")
+        with pytest.raises(ScheduleExhaustedError, match="starved") as info:
+            run_programs([write_then_read(register)] * 2, ThenOnlyThree(),
+                         SeedTree(0), skip_guard=1000)
+        assert info.value.unfinished_pids == (0, 1)
+        assert info.value.steps_by_pid == {0: 1, 1: 0}
+        result = run_programs([write_then_read(register)] * 2,
+                              ThenOnlyThree(), SeedTree(0), skip_guard=1000,
+                              allow_partial=True)
+        assert not result.completed
+        assert result.steps_by_pid == {0: 1, 1: 0}
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_non_operation_mid_run_rejected(self, hooked):
+        from repro.runtime.faults import StepHook
+
+        register = AtomicRegister("r")
+
+        def program(ctx):
+            yield Read(register)
+            yield "not an operation"
+
+        with pytest.raises(SimulationError, match="which is not an Operation"):
+            run_programs([program], RoundRobinSchedule(1), SeedTree(0),
+                         hooks=[StepHook()] if hooked else ())
+
     def test_mismatched_inputs_rejected(self):
         register = AtomicRegister("r")
         with pytest.raises(SimulationError):
