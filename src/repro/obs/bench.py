@@ -436,8 +436,8 @@ _SUITE: Dict[str, Tuple[Callable[[_Sizing, int], Dict[str, Any]],
     # The choosing-adversary path runs the adaptive step loop, where every
     # slot is an adversary pick through the wrapper layer (ring buffer,
     # stale view, clamping), and a pick's cost grows with n.  Measured on a
-    # 2-vCPU Xeon VM it runs 3.9-4.5x slower than sifting-conciliator at
-    # the quick size (n=16) and 7.2-8.4x slower at the full size (n=32).
+    # 2-vCPU Xeon VM it runs 2.4-2.5x slower than sifting-conciliator at
+    # the quick size (n=16) and 3.8-3.9x slower at the full size (n=32).
     "late-adversary-sifting": (
         _case_late_adversary_sifting,
         _Sizing(n=16, trials=200), _Sizing(n=32, trials=300),

@@ -62,17 +62,20 @@ __all__ = [
 
 
 class AdversaryView:
-    """Read-only view of execution state offered to an adaptive adversary."""
+    """Read-only view of execution state offered to an adaptive adversary.
 
-    def __init__(
-        self,
-        processes: Dict[int, Process],
-        steps: Dict[int, int],
-        crashed: Optional[Set[int]] = None,
-    ):
-        self._processes = processes
+    ``live`` maps every runnable pid (unfinished and not crashed) to its
+    process, in ascending pid order.  The runner owns that dict and deletes
+    a process from it the moment it finishes or crashes, so the view never
+    scans or sorts: :meth:`unfinished` is a copy of its keys.  The
+    per-process queries take a runnable pid.
+    """
+
+    __slots__ = ("_live", "_steps")
+
+    def __init__(self, live: Dict[int, Process], steps: Dict[int, int]):
+        self._live = live
         self._steps = steps
-        self._crashed = crashed if crashed is not None else set()
 
     def unfinished(self) -> List[int]:
         """Pids that still have an operation to execute, sorted.
@@ -81,18 +84,15 @@ class AdversaryView:
         process has no next operation for even an omniscient adversary to
         schedule.
         """
-        return sorted(
-            pid for pid, process in self._processes.items()
-            if not process.finished and pid not in self._crashed
-        )
+        return list(self._live)
 
     def pending_operation(self, pid: int) -> Optional[Operation]:
         """The operation ``pid`` would execute if scheduled now."""
-        return self._processes[pid].pending_operation
+        return self._live[pid].pending_operation
 
     def pending_kind(self, pid: int) -> Optional[str]:
         """Kind of the pending operation (``"read"``, ``"write"``, ...)."""
-        operation = self.pending_operation(pid)
+        operation = self._live[pid].pending_operation
         return None if operation is None else operation.kind
 
     def steps_taken(self, pid: int) -> int:
@@ -115,24 +115,28 @@ class PendingKindAdversary(AdaptiveAdversary):
 
     def __init__(self, priority: Sequence[str]):
         self.priority = list(priority)
+        #: kind -> position of its first occurrence in ``priority``.
+        self._ranks: Dict[str, int] = {}
+        for rank, kind in enumerate(self.priority):
+            self._ranks.setdefault(kind, rank)
         self._rotation = 0
-
-    def _rank(self, kind: Optional[str]) -> int:
-        if kind in self.priority:
-            return self.priority.index(kind)
-        return len(self.priority)
 
     def choose(self, view: AdversaryView) -> int:
         candidates = view.unfinished()
         if not candidates:
             raise SimulationError("adversary consulted with no runnable process")
         self._rotation += 1
+        rotation = self._rotation
+        modulus = max(candidates) + 1
+        rank = self._ranks.get
+        unlisted = len(self.priority)
+        pending_kind = view.pending_kind
+        # One integer key per candidate: rank first, then the rotated pid,
+        # which is always below ``modulus``.
         return min(
             candidates,
-            key=lambda pid: (
-                self._rank(view.pending_kind(pid)),
-                (pid + self._rotation) % (max(candidates) + 1),
-            ),
+            key=lambda pid: (rank(pending_kind(pid), unlisted) * modulus
+                             + (pid + rotation) % modulus),
         )
 
 
@@ -312,18 +316,27 @@ def run_adaptive_programs(
 
     The loop mirrors :class:`repro.runtime.simulator.Simulator` but asks the
     adversary for the next pid at every step instead of consuming a fixed
-    schedule.  Since the adversary only picks among runnable processes,
-    runs always complete (subject to ``step_limit``).
+    schedule.  The runnable processes sit in one pid-ordered dict, shared
+    with the :class:`AdversaryView` the adversary reads; a process leaves
+    it when it finishes or crashes, and the run ends when it is empty
+    (subject to ``step_limit``).  A pick outside that dict -- finished,
+    crashed or no such pid -- raises :class:`~repro.errors.SimulationError`.
 
     ``hooks`` attaches the same :class:`~repro.runtime.faults.StepHook`
     instances the oblivious simulator takes — fault injectors may crash a
-    process (it disappears from the adversary's view) or withhold slots,
-    and invariant monitors observe every charged step, so the full monitor
-    suite rides along adaptive runs too.  One difference: adaptive runs
-    have no :class:`~repro.runtime.simulator.Simulator`, so ``on_run_start``
-    is not emitted.  ``skip_guard`` bounds consecutive withheld slots
-    (default ``max(10_000, 1_000 * n)``) — an adversary that keeps naming a
+    process (it disappears from the adversary's view) or withhold slots
+    (``on_skip`` is emitted for each), and invariant monitors observe every
+    charged step, so the full monitor suite rides along adaptive runs too.
+    One difference: adaptive runs have no
+    :class:`~repro.runtime.simulator.Simulator`, so ``on_run_start`` is not
+    emitted.  ``skip_guard`` bounds consecutive withheld slots (at least 1;
+    default ``max(10_000, 1_000 * n)``) — an adversary that keeps naming a
     stalled process would otherwise spin forever.
+
+    The loop must keep reaching the other layers through
+    ``adversary.choose``, ``SharedObject.apply`` and
+    ``Process.start``/``complete_step``: the benchmark's per-layer ledger
+    times the adversary, memory and process layers at those seams.
     """
     # Local import: simulator imports faults, and the note helper lives with
     # the other hook plumbing there.
@@ -334,6 +347,8 @@ def run_adaptive_programs(
         raise SimulationError(
             f"got {len(inputs)} inputs for {n} programs; they must match"
         )
+    if skip_guard is not None and skip_guard < 1:
+        raise SimulationError(f"skip_guard must be >= 1, got {skip_guard}")
     algorithm_seeds = seeds.child("algorithm")
     processes: Dict[int, Process] = {}
     for pid, program in enumerate(programs):
@@ -350,6 +365,7 @@ def run_adaptive_programs(
     crashed: Set[int] = set()
     guard = skip_guard if skip_guard is not None else max(10_000, 1_000 * n)
     hooks = list(hooks)
+    has_hooks = bool(hooks)
 
     def emit(stage: str, *args: Any, pid: Optional[int] = None,
              step: Optional[int] = None) -> None:
@@ -365,61 +381,68 @@ def run_adaptive_programs(
         if process.finished:
             emit("on_finish", process.pid, process.output, pid=process.pid)
 
-    view = AdversaryView(processes, steps, crashed)
+    live = {pid: process for pid, process in processes.items()
+            if not process.finished}
+    view = AdversaryView(live, steps)
+    choose = adversary.choose
+    find_live = live.get
     step_index = 0
     consecutive_skips = 0
-    while view.unfinished():
-        pid = adversary.choose(view)
-        process = processes[pid]
-        if process.finished or pid in crashed:
+    while live:
+        pid = choose(view)
+        process = find_live(pid)
+        if process is None:
             raise SimulationError(
                 f"adaptive adversary chose unrunnable process {pid}"
             )
-        action: Optional[str] = None
-        for hook in hooks:
-            try:
-                decision = hook.before_step(
-                    pid, steps[pid], step_index, process.pending_operation
-                )
-            except BaseException as error:
-                _note_hook_failure(error, hook, "before_step",
-                                   pid=pid, global_step=step_index)
-                raise
-            if decision == CRASH:
-                action = CRASH
-                break
-            if decision == SKIP:
-                action = SKIP
-        if action == CRASH:
-            crashed.add(pid)
-            emit("on_crash", pid, steps[pid], pid=pid)
-            continue
-        if action == SKIP:
-            consecutive_skips += 1
-            if consecutive_skips >= guard:
-                raise ScheduleExhaustedError(
-                    f"adaptive run appears starved: {guard} consecutive "
-                    "slots were withheld by fault injection",
-                    unfinished_pids=view.unfinished(),
-                    steps_by_pid=steps,
-                )
-            continue
-        consecutive_skips = 0
         operation = process.pending_operation
         intercepted = None
-        for hook in hooks:
-            try:
-                intercepted = hook.intercept(pid, operation)
-            except BaseException as error:
-                _note_hook_failure(error, hook, "intercept",
-                                   pid=pid, global_step=step_index)
-                raise
-            if intercepted is not None:
-                break
-        if intercepted is not None:
-            result = intercepted.value
-        else:
+        if has_hooks:
+            action: Optional[str] = None
+            for hook in hooks:
+                try:
+                    decision = hook.before_step(
+                        pid, steps[pid], step_index, operation
+                    )
+                except BaseException as error:
+                    _note_hook_failure(error, hook, "before_step",
+                                       pid=pid, global_step=step_index)
+                    raise
+                if decision == CRASH:
+                    action = CRASH
+                    break
+                if decision == SKIP:
+                    action = SKIP
+            if action == CRASH:
+                crashed.add(pid)
+                del live[pid]
+                emit("on_crash", pid, steps[pid], pid=pid)
+                continue
+            if action == SKIP:
+                emit("on_skip", pid, step_index, pid=pid, step=step_index)
+                consecutive_skips += 1
+                if consecutive_skips >= guard:
+                    raise ScheduleExhaustedError(
+                        f"adaptive run appears starved: {guard} consecutive "
+                        "slots were withheld by fault injection",
+                        unfinished_pids=list(live),
+                        steps_by_pid=steps,
+                    )
+                continue
+            consecutive_skips = 0
+            for hook in hooks:
+                try:
+                    intercepted = hook.intercept(pid, operation)
+                except BaseException as error:
+                    _note_hook_failure(error, hook, "intercept",
+                                       pid=pid, global_step=step_index)
+                    raise
+                if intercepted is not None:
+                    break
+        if intercepted is None:
             result = operation.obj.apply(operation, pid)
+        else:
+            result = intercepted.value
         steps[pid] += 1
         if trace is not None:
             trace.record(
@@ -432,16 +455,25 @@ def run_adaptive_programs(
                     result=result,
                 )
             )
-        emit("after_step", pid, step_index, operation, result,
-             pid=pid, step=step_index)
+        if has_hooks:
+            for hook in hooks:
+                try:
+                    hook.after_step(pid, step_index, operation, result)
+                except BaseException as error:
+                    _note_hook_failure(error, hook, "after_step",
+                                       pid=pid, global_step=step_index)
+                    raise
         process.complete_step(result)
         if process.finished:
-            emit("on_finish", pid, process.output, pid=pid, step=step_index)
+            del live[pid]
+            if has_hooks:
+                emit("on_finish", pid, process.output,
+                     pid=pid, step=step_index)
         step_index += 1
         if step_index > step_limit:
             raise StepLimitExceededError(
                 f"adaptive run exceeded step limit {step_limit}",
-                unfinished_pids=view.unfinished(),
+                unfinished_pids=list(live),
                 steps_by_pid=steps,
             )
 

@@ -70,8 +70,9 @@ class _StaleObject:
     (register contents), ``name``, and identity (e.g.
     :class:`~repro.runtime.adaptive.SiftKillerAdversary` remembers "the
     register last written to" with an ``is`` comparison).  One stand-in
-    per object name keeps identity stable across delayed views while the
-    recorded ``value`` is rewound to what the adversary is allowed to see.
+    per object name keeps identity stable across delayed views.  Its
+    ``value`` is whatever the newest capture saw, and every snapshot shares
+    it, so a delayed decision can read contents newer than its snapshot.
     """
 
     __slots__ = ("name", "value")
@@ -92,24 +93,37 @@ class _StaleOperation:
         self.value = value
 
 
-class _StaleView:
-    """An :class:`AdversaryView`-shaped window onto a past snapshot."""
+#: One pid's entry in a snapshot: its pending operation's kind, stale
+#: target and written value (all ``None`` when it had no pending operation)
+#: and its step count.
+_Entry = Tuple[Optional[str], Optional[_StaleObject], Any, int]
 
-    def __init__(self, snapshot: Dict[int, Tuple[Optional[_StaleOperation], int]]):
+
+class _StaleView:
+    """An :class:`AdversaryView`-shaped window onto a past snapshot.
+
+    The snapshot keeps plain tuples; a :class:`_StaleOperation` is built
+    only when the strategy asks for one.
+    """
+
+    __slots__ = ("_snapshot",)
+
+    def __init__(self, snapshot: Dict[int, _Entry]):
         self._snapshot = snapshot
 
     def unfinished(self) -> List[int]:
-        return sorted(self._snapshot)
+        # Captured from a live view's pid-ordered candidates: already sorted.
+        return list(self._snapshot)
 
     def pending_operation(self, pid: int) -> Optional[_StaleOperation]:
-        return self._snapshot[pid][0]
+        kind, obj, value, _ = self._snapshot[pid]
+        return None if obj is None else _StaleOperation(kind, obj, value)
 
     def pending_kind(self, pid: int) -> Optional[str]:
-        operation = self._snapshot[pid][0]
-        return None if operation is None else operation.kind
+        return self._snapshot[pid][0]
 
     def steps_taken(self, pid: int) -> int:
-        return self._snapshot[pid][1]
+        return self._snapshot[pid][3]
 
 
 class LateAdversary(AdaptiveAdversary):
@@ -130,48 +144,42 @@ class LateAdversary(AdaptiveAdversary):
         self.inner = inner
         self.delay = delay
         self._rng = random.Random(seed)
-        self._snapshots: Deque[Dict[int, Tuple[Optional[_StaleOperation], int]]]
-        self._snapshots = deque(maxlen=delay + 1)
+        self._snapshots: Deque[Dict[int, _Entry]] = deque(maxlen=delay + 1)
         self._stale_objects: Dict[str, _StaleObject] = {}
         #: How often the stale pick had to be clamped to a runnable pid.
         self.clamped = 0
-
-    def _stale_object(self, name: str) -> _StaleObject:
-        obj = self._stale_objects.get(name)
-        if obj is None:
-            obj = self._stale_objects[name] = _StaleObject(name)
-        return obj
-
-    def _capture(self, view: AdversaryView) -> Dict[int, Tuple[Optional[_StaleOperation], int]]:
-        snapshot: Dict[int, Tuple[Optional[_StaleOperation], int]] = {}
-        for pid in view.unfinished():
-            operation = view.pending_operation(pid)
-            if operation is None:
-                snapshot[pid] = (None, view.steps_taken(pid))
-                continue
-            stale_obj = self._stale_object(operation.obj.name)
-            stale_obj.value = getattr(operation.obj, "value", None)
-            snapshot[pid] = (
-                _StaleOperation(
-                    operation.kind, stale_obj,
-                    getattr(operation, "value", None),
-                ),
-                view.steps_taken(pid),
-            )
-        return snapshot
 
     def choose(self, view: AdversaryView) -> int:
         candidates = view.unfinished()
         if not candidates:
             raise SimulationError("adversary consulted with no runnable process")
-        self._snapshots.append(self._capture(view))
+        # Capture this decision's snapshot.  Each object name has one
+        # stand-in whose ``value`` every capture overwrites, so older
+        # snapshots see the newest captured contents through it.
+        stale_objects = self._stale_objects
+        pending_operation = view.pending_operation
+        steps_taken = view.steps_taken
+        snapshot: Dict[int, _Entry] = {}
+        for pid in candidates:
+            operation = pending_operation(pid)
+            if operation is None:
+                snapshot[pid] = (None, None, None, steps_taken(pid))
+                continue
+            obj = operation.obj
+            stale_obj = stale_objects.get(obj.name)
+            if stale_obj is None:
+                stale_obj = stale_objects[obj.name] = _StaleObject(obj.name)
+            stale_obj.value = getattr(obj, "value", None)
+            snapshot[pid] = (operation.kind, stale_obj,
+                             getattr(operation, "value", None),
+                             steps_taken(pid))
+        self._snapshots.append(snapshot)
         if len(self._snapshots) <= self.delay:
             # Not enough history yet: the adversary has seen nothing it is
             # allowed to act on, so it schedules obliviously.
             return candidates[self._rng.randrange(len(candidates))]
-        stale = self._snapshots[0]
-        choice = self.inner.choose(_StaleView(stale))
-        if choice not in candidates:
+        choice = self.inner.choose(_StaleView(self._snapshots[0]))
+        if choice not in snapshot:
             # The stale view named a process that has since finished or
             # crashed; an execution needs *some* runnable pid, so clamp to
             # a seeded uniform draw (the oblivious fallback).

@@ -7,6 +7,12 @@ same per-process step counts, same completion and crash sets, and the same
 errors when a run cannot finish.  This is checked for every catalog
 conciliator plus register consensus under four schedule families and the
 crash-half adversary.
+
+The adaptive runner keeps its hook work behind a local boolean the same
+way, so the same holds there: under every adaptive strategy and the
+late-δ and noisy-σ ladder rungs, a pass-through hook leaves outputs, step
+counts, crashed pids and the trace unchanged, and the step-limit and
+starvation errors match.
 """
 
 import pytest
@@ -17,7 +23,14 @@ from repro.errors import (
     ScheduleExhaustedError,
     StepLimitExceededError,
 )
-from repro.runtime.faults import StepHook
+from repro.runtime.adaptive import (
+    ADAPTIVE_FAMILIES,
+    LongestFirstAdversary,
+    make_adaptive,
+    run_adaptive_programs,
+)
+from repro.runtime.adversary import make_adversary
+from repro.runtime.faults import FaultPlan, StallFault, StepHook
 from repro.runtime.rng import SeedTree
 from repro.runtime.scheduler import LimitedSchedule
 from repro.runtime.simulator import run_programs
@@ -111,3 +124,73 @@ class TestSameErrors:
         )
         assert kind is StepLimitExceededError
         assert "step limit 4" in message
+
+
+#: Adaptive strategies and ladder rungs (label -> builder taking a seed).
+ADVERSARIES = {name: (lambda seed, name=name: make_adaptive(name, seed))
+               for name in ADAPTIVE_FAMILIES}
+ADVERSARIES["late-2(sift-killer)"] = lambda seed: make_adversary(
+    "late", inner="sift-killer", seed=seed, delay=2)
+ADVERSARIES["noisy-0.5(pending-reads)"] = lambda seed: make_adversary(
+    "noisy", inner="pending-reads", seed=seed, noise=0.5)
+
+
+def run_adaptive(name, adversary, seed, hooks, **options):
+    programs = [PROTOCOLS[name](N).program] * N
+    return run_adaptive_programs(
+        programs, ADVERSARIES[adversary](seed), SeedTree(seed),
+        inputs=INPUTS, record_trace=True, hooks=hooks, **options,
+    )
+
+
+def raised_adaptive(name, make, hooks, **options):
+    """The error a fresh adaptive run raises, as (type, message, pids)."""
+    programs = [PROTOCOLS[name](N).program] * N
+    with pytest.raises((ScheduleExhaustedError, StepLimitExceededError)) as info:
+        run_adaptive_programs(programs, make(), SeedTree(7), inputs=INPUTS,
+                              hooks=hooks, **options)
+    error = info.value
+    return type(error), str(error), error.unfinished_pids
+
+
+@pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_pass_through_hook_changes_nothing_adaptive(name, adversary):
+    for seed in SEEDS:
+        bare = run_adaptive(name, adversary, seed, hooks=())
+        hooked = run_adaptive(name, adversary, seed, hooks=[StepHook()])
+        assert observed(hooked) == observed(bare)
+        assert hooked.trace.events == bare.trace.events
+        assert bare.completed
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+class TestSameErrorsAdaptive:
+    """The adaptive runner's failures raise identically in both modes."""
+
+    def assert_same(self, name, make, hooks, **options):
+        bare = raised_adaptive(name, make, hooks(), **options)
+        hooked = raised_adaptive(name, make, [*hooks(), StepHook()], **options)
+        assert hooked == bare
+        assert bare[2], "the error must name the unfinished processes"
+        return bare
+
+    def test_step_limit(self, name):
+        kind, message, _ = self.assert_same(
+            name, lambda: make_adaptive("random-adaptive", 7), list,
+            step_limit=4,
+        )
+        assert kind is StepLimitExceededError
+        assert "step limit 4" in message
+
+    def test_starvation_guard(self, name):
+        # Longest-first keeps naming pid 0 while it is stalled: no step is
+        # charged, so its lead never changes and the guard must trip.
+        stall = FaultPlan(stalls=(StallFault(pid=0, start_step=0,
+                                             duration=10**9),))
+        kind, message, _ = self.assert_same(
+            name, LongestFirstAdversary, lambda: [stall.injector()],
+            skip_guard=50,
+        )
+        assert kind is ScheduleExhaustedError
+        assert "starved" in message

@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro.errors import SimulationError, StepLimitExceededError
+from repro.errors import (
+    ScheduleExhaustedError,
+    SimulationError,
+    StepLimitExceededError,
+)
 from repro.memory.register import AtomicRegister
+from repro.obs.metrics import MetricsHook, MetricsRegistry
 from repro.runtime.adaptive import (
-    AdversaryView,
+    AdaptiveAdversary,
     LongestFirstAdversary,
     PendingKindAdversary,
     RandomAdaptiveAdversary,
@@ -13,6 +18,7 @@ from repro.runtime.adaptive import (
     SiftKillerAdversary,
     run_adaptive_programs,
 )
+from repro.runtime.faults import CrashFault, FaultPlan, StallFault, StepHook
 from repro.runtime.operations import Read, Write
 from repro.runtime.rng import SeedTree
 
@@ -24,6 +30,26 @@ def write_then_read(register):
         return value
 
     return program
+
+
+
+class StaticView:
+    """A fixed adversary view: pid -> pending operation, no steps taken."""
+
+    def __init__(self, pending):
+        self._pending = pending
+
+    def unfinished(self):
+        return sorted(self._pending)
+
+    def pending_operation(self, pid):
+        return self._pending[pid]
+
+    def pending_kind(self, pid):
+        return self._pending[pid].kind
+
+    def steps_taken(self, pid):
+        return 0
 
 
 class TestRunAdaptive:
@@ -83,6 +109,125 @@ class TestRunAdaptive:
             )
 
 
+
+class Always(AdaptiveAdversary):
+    """Names the same pid at every pick, runnable or not."""
+
+    def __init__(self, pid):
+        self.pid = pid
+
+    def choose(self, view):
+        return self.pid
+
+
+class CountingPicks(AdaptiveAdversary):
+    """Counts the picks of a wrapped strategy."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.picks = 0
+
+    def choose(self, view):
+        self.picks += 1
+        return self.inner.choose(view)
+
+
+class SkipLog(StepHook):
+    def __init__(self):
+        self.skips = []
+
+    def on_skip(self, pid, global_steps):
+        self.skips.append((pid, global_steps))
+
+
+def writes(register, count):
+    def program(ctx):
+        for _ in range(count):
+            yield Write(register, ctx.pid)
+        return ctx.pid
+
+    return program
+
+
+class TestRefusals:
+    def test_pid_outside_the_run_is_unrunnable(self):
+        register = AtomicRegister("r")
+        with pytest.raises(SimulationError,
+                           match="adaptive adversary chose unrunnable process 7"):
+            run_adaptive_programs(
+                [write_then_read(register)] * 4, Always(7), SeedTree(0),
+            )
+
+    def test_finished_pid_is_unrunnable(self):
+        register = AtomicRegister("r")
+        with pytest.raises(SimulationError,
+                           match="adaptive adversary chose unrunnable process 0"):
+            run_adaptive_programs(
+                [write_then_read(register)] * 2, Always(0), SeedTree(0),
+            )
+
+    def test_crashed_pid_is_unrunnable(self):
+        register = AtomicRegister("r")
+        crash = FaultPlan(crashes=(CrashFault(pid=0, after_steps=0),))
+        with pytest.raises(SimulationError,
+                           match="adaptive adversary chose unrunnable process 0"):
+            run_adaptive_programs(
+                [write_then_read(register)] * 2, Always(0), SeedTree(0),
+                hooks=[crash.injector()],
+            )
+
+    @pytest.mark.parametrize("skip_guard", [0, -3])
+    def test_skip_guard_below_one_rejected(self, skip_guard):
+        register = AtomicRegister("r")
+        with pytest.raises(SimulationError,
+                           match=f"skip_guard must be >= 1, got {skip_guard}"):
+            run_adaptive_programs(
+                [write_then_read(register)] * 2, ShortestFirstAdversary(),
+                SeedTree(0), skip_guard=skip_guard,
+            )
+
+    def test_skip_guard_of_one_allowed(self):
+        register = AtomicRegister("r")
+        result = run_adaptive_programs(
+            [write_then_read(register)] * 2, ShortestFirstAdversary(),
+            SeedTree(0), skip_guard=1,
+        )
+        assert result.completed
+
+
+class TestOnSkip:
+    def test_every_withheld_slot_is_reported(self):
+        register = AtomicRegister("r")
+        stall = StallFault(pid=0, start_step=2, duration=6)
+        adversary = CountingPicks(RandomAdaptiveAdversary(3))
+        log = SkipLog()
+        registry = MetricsRegistry()
+        result = run_adaptive_programs(
+            [writes(register, 10)] * 4, adversary, SeedTree(0),
+            hooks=[FaultPlan(stalls=(stall,)).injector(), log,
+                   MetricsHook(registry)],
+        )
+        assert result.completed
+        withheld = adversary.picks - result.total_steps
+        assert withheld > 0
+        assert len(log.skips) == withheld
+        assert all(pid == 0 and 2 <= step < 8 for pid, step in log.skips)
+        assert registry.counter_value("sim.stalled_slots") == withheld
+
+    def test_starvation_raises_after_guard_skips(self):
+        register = AtomicRegister("r")
+        stall = StallFault(pid=0, start_step=0, duration=10**9)
+        log = SkipLog()
+        with pytest.raises(ScheduleExhaustedError, match="starved") as info:
+            run_adaptive_programs(
+                [writes(register, 3)] * 2, Always(0), SeedTree(0),
+                hooks=[FaultPlan(stalls=(stall,)).injector(), log],
+                skip_guard=25,
+            )
+        assert len(log.skips) == 25
+        assert list(info.value.unfinished_pids) == [0, 1]
+
+
 class TestStrategies:
     def test_pending_kind_prefers_listed_kind(self):
         register = AtomicRegister("r")
@@ -102,6 +247,25 @@ class TestStrategies:
             SeedTree(0),
         )
         assert result.outputs[1] == ("read-first", None)
+
+    def test_pending_kind_ranks_a_repeated_kind_by_first_occurrence(self):
+        read, write = Read(AtomicRegister("a")), Write(AtomicRegister("b"), 1)
+        view = StaticView({0: write, 1: read})
+        # "read" first appears at 0 and "write" at 1; a later repeat of
+        # "read" must not demote it below "write".
+        assert PendingKindAdversary(["read", "write", "read"]).choose(view) == 1
+        assert PendingKindAdversary(["write", "read", "write"]).choose(view) == 0
+        # An unlisted kind ranks after every listed one, repeats included.
+        assert PendingKindAdversary(["scan", "read", "scan"]).choose(view) == 1
+
+    def test_pending_kind_ties_rotate(self):
+        read = Read(AtomicRegister("a"))
+        adversary = PendingKindAdversary(["read"])
+        view = StaticView({0: read, 1: read, 2: read})
+        assert [adversary.choose(view) for _ in range(4)] == [2, 1, 0, 2]
+        sparse = PendingKindAdversary(["read"])
+        view = StaticView({1: read, 3: read})
+        assert [sparse.choose(view) for _ in range(4)] == [3, 3, 1, 1]
 
     def test_pending_kind_write_priority(self):
         register = AtomicRegister("r")
