@@ -145,20 +145,23 @@ class CILEmbeddedConciliator(Conciliator):
             inner_pending: Optional[Operation] = next(inner_generator)
         except StopIteration as stop:  # zero-step inner protocol
             return _SIDE_INNER, stop.value
-
+        send = inner_generator.send
+        read_proposal = Read(self.proposal)
+        coin = ctx.rng.random
+        write_probability = self.write_probability
         while True:
-            seen = yield Read(self.proposal)
+            seen = yield read_proposal
             if seen is not None:
                 self.proposal_exits += 1
                 return _SIDE_PROPOSAL, seen
-            if ctx.rng.random() < self.write_probability:
+            if coin() < write_probability:
                 yield Write(self.proposal, mine)
                 self.proposal_exits += 1
                 return _SIDE_PROPOSAL, mine
             # Execute exactly one step of the embedded conciliator.
             result = yield inner_pending
             try:
-                inner_pending = inner_generator.send(result)
+                inner_pending = send(result)
             except StopIteration as stop:
                 self.inner_completions += 1
                 return _SIDE_INNER, stop.value

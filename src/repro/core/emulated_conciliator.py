@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Generator, List, Optional
 
 from repro.core.conciliator import Conciliator
-from repro.core.persona import Persona
+from repro.core.persona import Persona, check_priority_range, highest_priority
 from repro.core.rounds import snapshot_priority_range, snapshot_rounds
 from repro.errors import ConfigurationError
 from repro.memory.emulated_snapshot import EmulatedSnapshot
@@ -47,6 +47,7 @@ class EmulatedSnapshotConciliator(Conciliator):
             if priority_range is not None
             else snapshot_priority_range(n, epsilon, self.rounds)
         )
+        check_priority_range(self.priority_range)
         self.arrays: List[EmulatedSnapshot] = [
             EmulatedSnapshot(n, f"{name}.A[{index}]")
             for index in range(self.rounds)
@@ -74,10 +75,6 @@ class EmulatedSnapshotConciliator(Conciliator):
             array = self.arrays[round_index]
             yield from array.update_program(ctx, persona)
             view = yield from array.scan_program(ctx)
-            candidates = [entry for entry in view if entry is not None]
-            persona = max(
-                candidates,
-                key=lambda entry: (entry.priority(round_index), entry.origin),
-            )
+            persona = highest_priority(view, round_index)
             self._record_round(round_index, ctx.pid, persona)
         return persona

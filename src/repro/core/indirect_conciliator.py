@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Generator, List, Optional
 
 from repro.core.conciliator import Conciliator
-from repro.core.persona import Persona
+from repro.core.persona import Persona, check_priority_range, highest_priority
 from repro.core.rounds import snapshot_priority_range, snapshot_rounds
 from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.memory.register import AtomicRegister
@@ -61,6 +61,7 @@ class IndirectSnapshotConciliator(Conciliator):
             if priority_range is not None
             else snapshot_priority_range(n, epsilon, self.rounds)
         )
+        check_priority_range(self.priority_range)
         self.announce: List[AtomicRegister] = [
             AtomicRegister(f"{name}.announce[{pid}]") for pid in range(n)
         ]
@@ -89,11 +90,7 @@ class IndirectSnapshotConciliator(Conciliator):
             array = self._arrays[round_index]
             yield Update(array, token)
             view = yield Scan(array)
-            candidates = [entry for entry in view if entry is not None]
-            token = max(
-                candidates,
-                key=lambda entry: (entry.priority(round_index), entry.origin),
-            )
+            token = highest_priority(view, round_index)
             self._record_round(round_index, ctx.pid, token)
         value = yield Read(self.announce[token.origin])
         if value is None:

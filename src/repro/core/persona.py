@@ -17,13 +17,19 @@ analysis (and our survivor counting) clean.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from typing import Any, Sequence, Tuple
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Persona"]
+__all__ = [
+    "Persona",
+    "check_priority_range",
+    "check_write_probabilities",
+    "highest_priority",
+]
 
 
 @dataclass(frozen=True)
@@ -66,15 +72,23 @@ class Persona:
         """
         if rounds < 1:
             raise ConfigurationError(f"snapshot persona needs rounds >= 1, got {rounds}")
-        if priority_range < 1:
-            raise ConfigurationError(
-                f"priority_range must be >= 1, got {priority_range}"
-            )
-        priorities = tuple(rng.randint(1, priority_range) for _ in range(rounds))
+        check_priority_range(priority_range)
+        # ``rng.randint(1, priority_range)``'s own rejection loop, inlined:
+        # draw ``priority_range.bit_length()`` bits until the value is below
+        # the range.  The stream is bit-identical to ``randint`` (a unit
+        # test pins it).
+        getrandbits = rng.getrandbits
+        bits = operator.index(priority_range).bit_length()
+        priorities = []
+        for _ in range(rounds):
+            draw = getrandbits(bits)
+            while draw >= priority_range:
+                draw = getrandbits(bits)
+            priorities.append(draw + 1)
         return Persona(
             value=value,
             origin=origin,
-            priorities=priorities,
+            priorities=tuple(priorities),
             coin=rng.randrange(2),
         )
 
@@ -93,12 +107,9 @@ class Persona:
         """
         if not write_probabilities:
             raise ConfigurationError("sifting persona needs at least one round")
-        for probability in write_probabilities:
-            if not 0.0 <= probability <= 1.0:
-                raise ConfigurationError(
-                    f"write probability {probability} outside [0, 1]"
-                )
-        bits = tuple(rng.random() < p for p in write_probabilities)
+        check_write_probabilities(write_probabilities)
+        draw = rng.random
+        bits = tuple([draw() < p for p in write_probabilities])
         return Persona(
             value=value,
             origin=origin,
@@ -116,3 +127,48 @@ class Persona:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Persona(value={self.value!r}, origin={self.origin})"
+
+
+def check_priority_range(priority_range: int) -> None:
+    """Refuse a snapshot priority range below 1."""
+    if priority_range < 1:
+        raise ConfigurationError(
+            f"priority_range must be >= 1, got {priority_range}"
+        )
+
+
+def check_write_probabilities(write_probabilities: Iterable[float]) -> None:
+    """Refuse a sifting write probability outside ``[0, 1]`` (or NaN)."""
+    for probability in write_probabilities:
+        if not 0.0 <= probability <= 1.0:
+            raise ConfigurationError(
+                f"write probability {probability} outside [0, 1]"
+            )
+
+
+def highest_priority(view: Iterable[Optional[Persona]], round_index: int) -> Persona:
+    """The persona Algorithm 1 adopts from a scanned ``view``.
+
+    The highest round-``round_index`` priority wins.  Ties on priority are
+    the duplicate event D, which the analysis charges as failure; the
+    protocol still needs a deterministic rule shared by all processes, so
+    they break by origin id.  ``None`` entries (empty components) are
+    skipped.  Returns the very object
+    ``max(candidates, key=lambda e: (e.priority(round_index), e.origin))``
+    would — the first maximal entry in view order — in one pass that builds
+    no keys and compares origins only on a priority tie.
+    """
+    best: Optional[Persona] = None
+    top = 0
+    for entry in view:
+        if entry is None:
+            continue
+        priority = entry.priorities[round_index]
+        if best is None or priority > top or (
+            priority == top and entry.origin > best.origin
+        ):
+            best = entry
+            top = priority
+    if best is None:
+        raise ValueError("highest_priority() of a view with no persona")
+    return best

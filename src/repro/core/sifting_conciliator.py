@@ -18,10 +18,10 @@ probability ``1 - eps`` (Theorem 2).
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Sequence
+from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.core.conciliator import Conciliator
-from repro.core.persona import Persona
+from repro.core.persona import Persona, check_write_probabilities
 from repro.core.probabilities import sift_p_schedule
 from repro.core.rounds import sifting_rounds
 from repro.errors import ConfigurationError
@@ -73,8 +73,10 @@ class SiftingConciliator(Conciliator):
                     f"{self.rounds} rounds"
                 )
             self.p_schedule = list(p_schedule)
+        check_write_probabilities(self.p_schedule)
         self.anonymous = anonymous
         self.registers = RegisterArray(f"{name}.r")
+        self._reads: Dict[int, Read] = {}
 
     def step_bound(self) -> int:
         """Exact individual step complexity: 1 per round."""
@@ -89,14 +91,22 @@ class SiftingConciliator(Conciliator):
         self, ctx: ProcessContext, input_value: Any
     ) -> Generator[Operation, Any, Persona]:
         persona = self.make_persona(ctx, input_value)
-        self._record_initial(ctx.pid, persona)
+        pid = ctx.pid
+        self._record_initial(pid, persona)
+        record_round = self._record_round
+        # Every process reads round i's register with the same (frozen)
+        # request, built when round i is first reached.
+        registers = self.registers
+        reads = self._reads
         for round_index in range(self.rounds):
-            register = self.registers[round_index]
-            if persona.chooses_write(round_index):
-                yield Write(register, persona)
+            read = reads.get(round_index)
+            if read is None:
+                read = reads[round_index] = Read(registers[round_index])
+            if persona.write_bits[round_index]:
+                yield Write(read.obj, persona)
             else:
-                seen = yield Read(register)
+                seen = yield read
                 if seen is not None:
                     persona = seen
-            self._record_round(round_index, ctx.pid, persona)
+            record_round(round_index, pid, persona)
         return persona

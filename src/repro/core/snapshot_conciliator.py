@@ -19,10 +19,10 @@ count), and experiment E11 confirms the two variants behave alike.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.core.conciliator import Conciliator
-from repro.core.persona import Persona
+from repro.core.persona import Persona, check_priority_range, highest_priority
 from repro.core.rounds import snapshot_priority_range, snapshot_rounds
 from repro.errors import ConfigurationError
 from repro.memory.max_register import MaxRegister
@@ -67,6 +67,7 @@ class SnapshotConciliator(Conciliator):
             if priority_range is not None
             else snapshot_priority_range(n, epsilon, self.rounds)
         )
+        check_priority_range(self.priority_range)
         self.use_max_registers = use_max_registers
         if use_max_registers:
             self._max_registers: List[MaxRegister] = [
@@ -76,6 +77,7 @@ class SnapshotConciliator(Conciliator):
         else:
             self._arrays = SnapshotArray(n, f"{name}.A")
             self._max_registers = []
+        self._scans: Dict[int, Scan] = {}
 
     def step_bound(self) -> int:
         """Exact individual step complexity: 2 per round."""
@@ -105,32 +107,29 @@ class SnapshotConciliator(Conciliator):
         self, ctx: ProcessContext, input_value: Any
     ) -> Generator[Operation, Any, Persona]:
         persona = self.make_persona(ctx, input_value)
-        self._record_initial(ctx.pid, persona)
-        for round_index in range(self.rounds):
-            if self.use_max_registers:
+        pid = ctx.pid
+        self._record_initial(pid, persona)
+        record_round = self._record_round
+        if self.use_max_registers:
+            for round_index in range(self.rounds):
                 persona = yield from self._max_register_round(round_index, persona)
-            else:
-                persona = yield from self._snapshot_round(
-                    ctx.pid, round_index, persona
-                )
-            self._record_round(round_index, ctx.pid, persona)
+                record_round(round_index, pid, persona)
+            return persona
+        # One round: update my component, scan, adopt the view's
+        # highest-priority persona.  Every process scans round i with the
+        # same (frozen) request, built when round i is first reached.
+        arrays = self._arrays
+        assert arrays is not None
+        scans = self._scans
+        for round_index in range(self.rounds):
+            scan = scans.get(round_index)
+            if scan is None:
+                scan = scans[round_index] = Scan(arrays[round_index])
+            yield Update(scan.obj, persona)
+            view = yield scan
+            persona = highest_priority(view, round_index)
+            record_round(round_index, pid, persona)
         return persona
-
-    def _snapshot_round(
-        self, pid: int, round_index: int, persona: Persona
-    ) -> Generator[Operation, Any, Persona]:
-        assert self._arrays is not None
-        array = self._arrays[round_index]
-        yield Update(array, persona)
-        view = yield Scan(array)
-        candidates = [entry for entry in view if entry is not None]
-        # Ties on priority are the duplicate event D, which the analysis
-        # charges as failure; the protocol still needs a deterministic rule
-        # shared by all processes, so break ties by origin id.
-        return max(
-            candidates,
-            key=lambda entry: (entry.priority(round_index), entry.origin),
-        )
 
     def _max_register_round(
         self, round_index: int, persona: Persona

@@ -9,7 +9,7 @@ array, while experiments can still enumerate what was actually used.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Generic, Iterator, List, Optional, TypeVar
 
 from repro.memory.base import SharedObject
 from repro.memory.register import AtomicRegister
@@ -17,27 +17,36 @@ from repro.memory.snapshot import SnapshotObject
 
 __all__ = ["RegisterArray", "SnapshotArray", "ObjectArray"]
 
+T = TypeVar("T", bound=SharedObject)
 
-class ObjectArray:
-    """A lazily materialized, unbounded array of shared objects."""
 
-    def __init__(self, factory: Callable[[int], SharedObject], name: str = "array"):
+class ObjectArray(Generic[T]):
+    """A lazily materialized, unbounded array of shared objects.
+
+    Indexing is on every protocol step's path, so a hit costs one dict
+    lookup; only a miss checks the index and materializes the object.
+    """
+
+    def __init__(self, factory: Callable[[int], T], name: str = "array"):
         self._factory = factory
         self.name = name
-        self._objects: Dict[int, SharedObject] = {}
+        self._objects: Dict[int, T] = {}
 
-    def __getitem__(self, index: int) -> SharedObject:
+    def __getitem__(self, index: int) -> T:
+        try:
+            return self._objects[index]
+        except KeyError:
+            pass
         if index < 0:
             raise IndexError(f"object array index must be >= 0, got {index}")
-        if index not in self._objects:
-            self._objects[index] = self._factory(index)
-        return self._objects[index]
+        created = self._objects[index] = self._factory(index)
+        return created
 
     def allocated(self) -> List[int]:
         """Indices of objects that have been touched, in sorted order."""
         return sorted(self._objects)
 
-    def __iter__(self) -> Iterator[SharedObject]:
+    def __iter__(self) -> Iterator[T]:
         for index in self.allocated():
             yield self._objects[index]
 
@@ -45,7 +54,7 @@ class ObjectArray:
         return len(self._objects)
 
 
-class RegisterArray(ObjectArray):
+class RegisterArray(ObjectArray[AtomicRegister]):
     """Unbounded array of atomic registers, e.g. ``r_i`` in Algorithm 2."""
 
     def __init__(self, name: str = "r", initial: Any = None):
@@ -54,13 +63,8 @@ class RegisterArray(ObjectArray):
             name=name,
         )
 
-    def __getitem__(self, index: int) -> AtomicRegister:
-        register = super().__getitem__(index)
-        assert isinstance(register, AtomicRegister)
-        return register
 
-
-class SnapshotArray(ObjectArray):
+class SnapshotArray(ObjectArray[SnapshotObject]):
     """Unbounded array of snapshot objects, e.g. ``A_i`` in Algorithm 1.
 
     ``sparse`` is forwarded to every :class:`SnapshotObject` this array
@@ -76,8 +80,3 @@ class SnapshotArray(ObjectArray):
         )
         self.n = n
         self.sparse = sparse
-
-    def __getitem__(self, index: int) -> SnapshotObject:
-        snapshot = super().__getitem__(index)
-        assert isinstance(snapshot, SnapshotObject)
-        return snapshot

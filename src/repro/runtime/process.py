@@ -23,9 +23,12 @@ __all__ = ["ProcessContext", "Process", "Program"]
 Program = Callable[["ProcessContext"], Generator[Operation, Any, Any]]
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessContext:
     """Everything a protocol program may legitimately observe locally.
+
+    Slotted: one is built per process per trial, and protocols read its
+    fields on their hot paths.
 
     Attributes:
         pid: this process's id in ``range(n)``.

@@ -21,11 +21,15 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator, Tuple
+from typing import Any, Iterator, Tuple
 
 __all__ = ["SeedTree", "derive_seed"]
 
 _SEED_BYTES = 8
+
+#: ``(key, hasher)`` for the last prefix :func:`derive_seed` hashed; the
+#: hasher itself is never updated, only copied.
+_prefix: Tuple[Tuple[str, ...], Any] = ((), None)
 
 
 def derive_seed(master: int, *labels: str) -> int:
@@ -34,12 +38,27 @@ def derive_seed(master: int, *labels: str) -> int:
     The derivation hashes the decimal master seed together with the
     NUL-separated label path, so ``derive_seed(s, "a", "b")`` and
     ``derive_seed(s, "ab")`` are distinct streams.
+
+    Siblings share every label but the last (``process-0``,
+    ``process-1``, ... under one trial's ``algorithm`` branch), so the
+    hasher fed with ``master`` and ``labels[:-1]`` is kept in a
+    single-entry cache and copied, not rebuilt.  Key and hasher are
+    stored as one tuple, so a concurrent caller sees a matched pair.
     """
-    hasher = hashlib.sha256()
-    hasher.update(str(master).encode("ascii"))
-    for label in labels:
+    global _prefix
+    key = (str(master), *labels[:-1])
+    cached_key, cached = _prefix
+    if cached_key != key:
+        cached = hashlib.sha256()
+        cached.update(key[0].encode("ascii"))
+        for label in key[1:]:
+            cached.update(b"\x00")
+            cached.update(label.encode("utf-8"))
+        _prefix = (key, cached)
+    hasher = cached.copy()
+    if labels:
         hasher.update(b"\x00")
-        hasher.update(label.encode("utf-8"))
+        hasher.update(labels[-1].encode("utf-8"))
     return int.from_bytes(hasher.digest()[:_SEED_BYTES], "big")
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Any, Generator, List, Optional, Sequence
 
 from repro.core.consensus import ConsensusProtocol, register_consensus
+from repro.core.persona import check_write_probabilities
 from repro.core.probabilities import sift_p_schedule
 from repro.core.rounds import sifting_rounds
 from repro.errors import ConfigurationError
@@ -68,6 +69,7 @@ class SiftingTestAndSet:
                     f"{self.rounds} rounds"
                 )
             self.p_schedule = list(p_schedule)
+        check_write_probabilities(self.p_schedule)
         self.registers = RegisterArray(f"{name}.r")
         self.backup: ConsensusProtocol = register_consensus(
             n, value_domain=range(n), name=f"{name}.backup"

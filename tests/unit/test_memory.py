@@ -164,6 +164,24 @@ class TestObjectArrays:
         with pytest.raises(IndexError):
             RegisterArray("r")[-1]
 
+    @pytest.mark.parametrize("make", [
+        lambda: RegisterArray("r"),
+        lambda: SnapshotArray(3, "A"),
+        lambda: ObjectArray(lambda index: AtomicRegister(f"o[{index}]")),
+    ])
+    def test_negative_index_rejected_once_populated(self, make):
+        # A hit is one dict lookup; the sign is checked on a miss, so a
+        # negative index must still miss and raise, allocating nothing.
+        array = make()
+        first, second = array[0], array[2]
+        for index in (-1, -2, -3):
+            with pytest.raises(IndexError, match=">= 0"):
+                array[index]
+        assert array.allocated() == [0, 2]
+        assert len(array) == 2
+        assert array[0] is first and array[2] is second
+        assert list(array) == [first, second]
+
     def test_iteration_in_index_order(self):
         array = RegisterArray("r")
         array[5]

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.core.persona import Persona
+from repro.core.persona import Persona, highest_priority
 from repro.errors import ConfigurationError
+from repro.memory.snapshot import SparseView
 
 
 class TestPersonaBasics:
@@ -94,3 +96,92 @@ class TestSiftingPersona:
         persona = Persona.for_sifting("v", 0, random.Random(0), [0.8] * 500)
         fraction = sum(persona.write_bits) / 500
         assert 0.7 < fraction < 0.9
+
+
+class TestInlinedRandint:
+    """``for_snapshot`` inlines ``randint``'s rejection loop; every seeded
+    artifact assumes the streams stay equal, so a change in CPython's
+    ``randint`` must fail here rather than drift silently."""
+
+    @pytest.mark.parametrize("priority_range", [
+        1, 2, 3, 7, 8, 9, 15, 16, 17, 255, 256, 257, 2**31 - 1, 2**31,
+        2**31 + 1, 2**40 + 12345, 10**30,
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2012])
+    def test_priorities_and_later_stream_equal_randint(self, seed, priority_range):
+        rounds = 40
+        reference = random.Random(seed)
+        expected = tuple(
+            reference.randint(1, priority_range) for _ in range(rounds)
+        )
+        expected_coin = reference.randrange(2)
+        rng = random.Random(seed)
+        persona = Persona.for_snapshot("v", 0, rng, rounds, priority_range)
+        assert persona.priorities == expected
+        assert persona.coin == expected_coin
+        # The stream after the persona is where the reference left off.
+        assert [rng.random() for _ in range(5)] == [
+            reference.random() for _ in range(5)
+        ]
+
+
+def reference_adoption(view, round_index):
+    candidates = [entry for entry in view if entry is not None]
+    return max(
+        candidates,
+        key=lambda entry: (entry.priority(round_index), entry.origin),
+    )
+
+
+@st.composite
+def views(draw):
+    rounds = draw(st.integers(min_value=1, max_value=3))
+    # A small pool, so views repeat personae (equal and identical) and
+    # share priorities; a small priority range forces ties.
+    top = draw(st.sampled_from([1, 2, 3, 10**6]))
+    pool = draw(st.lists(
+        st.builds(
+            Persona,
+            value=st.integers(0, 3),
+            origin=st.integers(-1, 5),
+            priorities=st.tuples(*[st.integers(1, top)] * rounds),
+        ),
+        min_size=1, max_size=6,
+    ))
+    entries = draw(st.lists(
+        st.one_of(st.none(), st.sampled_from(pool)), min_size=1, max_size=12,
+    ).filter(lambda entries: any(entry is not None for entry in entries)))
+    round_index = draw(st.integers(0, rounds - 1))
+    return entries, round_index
+
+
+class TestHighestPriority:
+    @given(views())
+    def test_returns_the_object_max_returns(self, case):
+        entries, round_index = case
+        assert highest_priority(entries, round_index) is reference_adoption(
+            entries, round_index
+        )
+
+    @given(views())
+    def test_sparse_views_agree(self, case):
+        entries, round_index = case
+        sparse = SparseView(
+            tuple((index, entry) for index, entry in enumerate(entries)
+                  if entry is not None),
+            len(entries),
+        )
+        assert highest_priority(sparse, round_index) is reference_adoption(
+            sparse, round_index
+        )
+
+    def test_priority_tie_breaks_by_origin_then_view_order(self):
+        low = Persona(value="a", origin=1, priorities=(5,))
+        high = Persona(value="b", origin=4, priorities=(5,))
+        twin = Persona(value="b", origin=4, priorities=(5,))
+        view = (None, low, high, None, twin)
+        assert highest_priority(view, 0) is high
+
+    def test_empty_view_raises_like_max(self):
+        with pytest.raises(ValueError):
+            highest_priority((None, None), 0)

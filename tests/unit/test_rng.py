@@ -1,8 +1,17 @@
 """Unit tests for the seed tree (randomness plumbing)."""
 
+import hashlib
+
 import pytest
 
 from repro.runtime.rng import SeedTree, derive_seed
+
+
+def uncached_seed(master, *labels):
+    hasher = hashlib.sha256(str(master).encode("ascii"))
+    for label in labels:
+        hasher.update(b"\x00" + label.encode("utf-8"))
+    return int.from_bytes(hasher.digest()[:8], "big")
 
 
 class TestDeriveSeed:
@@ -24,6 +33,38 @@ class TestDeriveSeed:
 
     def test_non_negative(self):
         assert derive_seed(123, "x") >= 0
+
+    def test_prefix_cache_matches_uncached_hash(self):
+        # Interleave siblings, other prefixes, other masters, empty label
+        # lists and non-ASCII labels, so every call either hits or evicts
+        # the cached prefix of the call before it.
+        paths = [
+            (7, "algorithm", "process-0"),
+            (7, "algorithm", "process-1"),
+            (7, "schedule"),
+            (7, "algorithm", "process-2"),
+            (7,),
+            (7, "algorithm", "process-2"),
+            (8, "algorithm", "process-2"),
+            (7, "algorithm", "process-3"),
+            (7, "algorithm"),
+            (7, "algorithm", ""),
+            (7, "", ""),
+            (-3, "ünïcødé", "标签"),
+            (-3, "ünïcødé", "ラベル"),
+            (-3, "ünïcødé"),
+            (2**70, "a", "b", "c"),
+            (2**70, "a", "b", "d"),
+            (2**70, "a", "bc"),
+        ]
+        for path in paths + paths[::-1]:
+            assert derive_seed(*path) == uncached_seed(*path), path
+
+    def test_prefix_cache_keys_on_the_master_text(self):
+        # True == 1 and -0.0 == 0.0, but their decimal texts differ.
+        for first, second in ((1, True), (0.0, -0.0), (1, 1.0)):
+            assert derive_seed(first, "a", "b") == uncached_seed(first, "a", "b")
+            assert derive_seed(second, "a", "b") == uncached_seed(second, "a", "b")
 
 
 class TestSeedTree:

@@ -3,11 +3,13 @@
 import pytest
 
 import helpers
+from repro.analysis.experiments import run_conciliator_trials
 from repro.core.probabilities import sift_p_schedule
 from repro.core.rounds import sifting_rounds
 from repro.core.sifting_conciliator import SiftingConciliator
 from repro.errors import ConfigurationError
 from repro.runtime.scheduler import ExplicitSchedule, RoundRobinSchedule
+from repro.runtime.vectorized import BACKENDS, numpy_available
 
 
 class TestConfiguration:
@@ -30,6 +32,24 @@ class TestConfiguration:
     def test_rejects_zero_rounds(self):
         with pytest.raises(ConfigurationError):
             SiftingConciliator(8, rounds=0)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.2, float("nan")])
+    def test_rejects_write_probability_outside_unit_interval(self, bad):
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 1\]"):
+            SiftingConciliator(8, rounds=3, p_schedule=[bad, 0.5, 0.5])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_backend_refuses_a_bad_schedule_up_front(self, backend):
+        # The vectorized kernels never draw a persona, so the conciliator
+        # itself must refuse the schedule before any backend runs it.
+        if backend != "generator" and not numpy_available():
+            pytest.skip("vectorized backends require numpy")
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 1\]"):
+            run_conciliator_trials(
+                lambda: SiftingConciliator(8, rounds=3, p_schedule=[1.5, 0.5, 0.5]),
+                list(range(8)), schedule_family="permuted", trials=200,
+                backend=backend,
+            )
 
 
 class TestExecution:

@@ -3,6 +3,7 @@
 import pytest
 
 import helpers
+from repro.analysis.experiments import run_conciliator_trials
 from repro.core.persona import Persona
 from repro.core.rounds import snapshot_priority_range, snapshot_rounds
 from repro.core.snapshot_conciliator import SnapshotConciliator
@@ -12,6 +13,7 @@ from repro.runtime.scheduler import (
     FrontRunnerSchedule,
     RoundRobinSchedule,
 )
+from repro.runtime.vectorized import BACKENDS, numpy_available
 
 
 class TestConfiguration:
@@ -35,6 +37,26 @@ class TestConfiguration:
     def test_rejects_zero_rounds(self):
         with pytest.raises(ConfigurationError):
             SnapshotConciliator(8, rounds=0)
+
+    @pytest.mark.parametrize("use_max_registers", [False, True])
+    def test_rejects_empty_priority_range(self, use_max_registers):
+        with pytest.raises(ConfigurationError, match="priority_range must be >= 1"):
+            SnapshotConciliator(
+                8, priority_range=0, use_max_registers=use_max_registers
+            )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_backend_refuses_an_empty_range_up_front(self, backend):
+        # Without the constructor's check the vectorized kernel would
+        # surface numpy's raw "low >= high" instead.
+        if backend != "generator" and not numpy_available():
+            pytest.skip("vectorized backends require numpy")
+        with pytest.raises(ConfigurationError, match="priority_range must be >= 1"):
+            run_conciliator_trials(
+                lambda: SnapshotConciliator(8, priority_range=0),
+                list(range(8)), schedule_family="permuted", trials=20,
+                backend=backend,
+            )
 
 
 class TestExecution:

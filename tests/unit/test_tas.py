@@ -109,6 +109,11 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             SiftingTestAndSet(0)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.2, float("nan")])
+    def test_rejects_write_probability_outside_unit_interval(self, bad):
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 1\]"):
+            SiftingTestAndSet(8, rounds=3, p_schedule=[0.5, bad, 0.5])
+
     def test_schedule_length_checked(self):
         with pytest.raises(ConfigurationError):
             SiftingTestAndSet(4, rounds=3, p_schedule=[0.5])
