@@ -37,7 +37,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Tuple,
     Union,
 )
 
@@ -398,6 +397,13 @@ class MetricsHook(StepHook):
         self._simulator: Optional["Simulator"] = None
         self._steps_by_pid: Dict[int, int] = {}
         self._steps_seen = 0
+        # The per-step counters, resolved through the registry once and
+        # then added to directly; they stay live in the registry, so a run
+        # that raises still reports its partial counts.  ``sim.steps`` is
+        # resolved at the first step, so a zero-step run does not gain it.
+        self._steps_counter: Optional[Counter] = None
+        self._op_counters: Dict[str, Counter] = {}
+        self._object_counters: Dict[str, Counter] = {}
 
     def on_run_start(self, simulator: "Simulator") -> None:
         self._simulator = simulator
@@ -407,9 +413,22 @@ class MetricsHook(StepHook):
         self, pid: int, step_index: int, operation: Operation, result: Any
     ) -> None:
         registry = self.registry
-        registry.counter("sim.steps").inc()
-        registry.counter("sim.ops", op=operation.kind).inc()
-        registry.counter("sim.object_ops", obj=operation.obj.name).inc()
+        steps = self._steps_counter
+        if steps is None:
+            steps = self._steps_counter = registry.counter("sim.steps")
+        steps.value += 1
+        kind = operation.kind
+        ops = self._op_counters.get(kind)
+        if ops is None:
+            ops = self._op_counters[kind] = registry.counter("sim.ops", op=kind)
+        ops.value += 1
+        name = operation.obj.name
+        object_ops = self._object_counters.get(name)
+        if object_ops is None:
+            object_ops = self._object_counters[name] = registry.counter(
+                "sim.object_ops", obj=name
+            )
+        object_ops.value += 1
         self._steps_by_pid[pid] = self._steps_by_pid.get(pid, 0) + 1
         if self.per_pid:
             registry.counter("sim.steps_by_pid", pid=pid).inc()

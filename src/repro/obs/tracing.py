@@ -8,9 +8,11 @@ It converts each into a versioned :class:`~repro.obs.events.TraceEventRecord`.
 
 Cost model:
 
-- **Not attached** (the default): zero cost.  The simulator's step loop
-  takes a guarded fast path when it has no hooks at all, so a run without
-  observers executes no tracing code whatsoever.
+- **Not attached** (the default): zero cost.  The step loops call each
+  hook callback only on the hooks that override it, so a run without
+  observers executes no tracing code whatsoever, and an attached recorder
+  costs only the callbacks it overrides (it has no ``before_step`` or
+  ``intercept``).
 - **Attached, ring buffer**: ``capacity=k`` keeps only the most recent
   ``k`` events in a ``deque`` — constant memory for arbitrarily long runs,
   ideal for "what happened just before the violation" forensics.
@@ -252,15 +254,6 @@ class TraceRecorder(StepHook):
                 kind=kind, step=step_index, pid=pid, payload=payload,
             ))
         self._step_events_seen += 1
-
-    def before_step(
-        self,
-        pid: int,
-        process_steps: int,
-        global_steps: int,
-        operation: Optional[Operation],
-    ) -> Optional[str]:
-        return None
 
     def on_skip(self, pid: int, global_steps: int) -> None:
         if not self._pid_sampled(pid):

@@ -39,7 +39,15 @@ from repro.errors import (
     SimulationError,
     StepLimitExceededError,
 )
-from repro.runtime.faults import CRASH, SKIP, StepHook
+from repro.runtime.faults import (
+    CRASH,
+    HOOK_STAGES,
+    SKIP,
+    InterceptedResult,
+    StepHook,
+    _note_hook_failure,
+    hook_methods,
+)
 from repro.runtime.operations import Operation
 from repro.runtime.process import Process, ProcessContext, Program
 from repro.runtime.results import RunResult
@@ -97,6 +105,24 @@ class AdversaryView:
 
     def steps_taken(self, pid: int) -> int:
         return self._steps[pid]
+
+
+class _AdaptiveRun:
+    """What ``StepHook.on_run_start`` reads of an adaptive run.
+
+    Oblivious runs pass their :class:`~repro.runtime.simulator.Simulator`;
+    an adaptive run has none, so it passes this stand-in with the same
+    attributes hooks use: the process count ``n``, the ``step_limit``, and
+    ``_unfinished``, the live pid-to-process dict the runner shrinks as
+    processes finish or crash (the metrics hook samples its length).
+    """
+
+    __slots__ = ("n", "step_limit", "_unfinished")
+
+    def __init__(self, n: int, step_limit: int, live: Dict[int, Process]):
+        self.n = n
+        self.step_limit = step_limit
+        self._unfinished = live
 
 
 class AdaptiveAdversary:
@@ -327,9 +353,12 @@ def run_adaptive_programs(
     process (it disappears from the adversary's view) or withhold slots
     (``on_skip`` is emitted for each), and invariant monitors observe every
     charged step, so the full monitor suite rides along adaptive runs too.
-    One difference: adaptive runs have no
-    :class:`~repro.runtime.simulator.Simulator`, so ``on_run_start`` is not
-    emitted.  ``skip_guard`` bounds consecutive withheld slots (at least 1;
+    As in the simulator, each callback is called only on the hooks that
+    override it.  ``on_run_start`` is emitted once, before the processes
+    start; adaptive runs have no
+    :class:`~repro.runtime.simulator.Simulator`, so it receives a stand-in
+    carrying ``n``, ``step_limit`` and the live processes.
+    ``skip_guard`` bounds consecutive withheld slots (at least 1;
     default ``max(10_000, 1_000 * n)``) — an adversary that keeps naming a
     stalled process would otherwise spin forever.
 
@@ -338,10 +367,6 @@ def run_adaptive_programs(
     ``Process.start``/``complete_step``: the benchmark's per-layer ledger
     times the adversary, memory and process layers at those seams.
     """
-    # Local import: simulator imports faults, and the note helper lives with
-    # the other hook plumbing there.
-    from repro.runtime.simulator import _note_hook_failure
-
     n = len(programs)
     if inputs is not None and len(inputs) != n:
         raise SimulationError(
@@ -365,24 +390,30 @@ def run_adaptive_programs(
     crashed: Set[int] = set()
     guard = skip_guard if skip_guard is not None else max(10_000, 1_000 * n)
     hooks = list(hooks)
-    has_hooks = bool(hooks)
+    methods = {stage: hook_methods(hooks, stage) for stage in HOOK_STAGES}
+    before_step = methods["before_step"]
+    intercept = methods["intercept"]
+    after_step = methods["after_step"]
+    on_finish = methods["on_finish"]
 
     def emit(stage: str, *args: Any, pid: Optional[int] = None,
              step: Optional[int] = None) -> None:
-        for hook in hooks:
+        for method in methods[stage]:
             try:
-                getattr(hook, stage)(*args)
+                method(*args)
             except BaseException as error:
-                _note_hook_failure(error, hook, stage, pid=pid, global_step=step)
+                _note_hook_failure(error, hooks, method, stage,
+                                   pid=pid, global_step=step)
                 raise
 
+    live = dict(processes)
+    emit("on_run_start", _AdaptiveRun(n, step_limit, live))
     for process in processes.values():
         process.start()
         if process.finished:
+            del live[process.pid]
             emit("on_finish", process.pid, process.output, pid=process.pid)
 
-    live = {pid: process for pid, process in processes.items()
-            if not process.finished}
     view = AdversaryView(live, steps)
     choose = adversary.choose
     find_live = live.get
@@ -396,16 +427,16 @@ def run_adaptive_programs(
                 f"adaptive adversary chose unrunnable process {pid}"
             )
         operation = process.pending_operation
-        intercepted = None
-        if has_hooks:
+        if before_step:
+            # Crash wins over skip over execute; a crash ends the
+            # consultation.
             action: Optional[str] = None
-            for hook in hooks:
+            process_steps = steps[pid]
+            for method in before_step:
                 try:
-                    decision = hook.before_step(
-                        pid, steps[pid], step_index, operation
-                    )
+                    decision = method(pid, process_steps, step_index, operation)
                 except BaseException as error:
-                    _note_hook_failure(error, hook, "before_step",
+                    _note_hook_failure(error, hooks, method, "before_step",
                                        pid=pid, global_step=step_index)
                     raise
                 if decision == CRASH:
@@ -430,11 +461,16 @@ def run_adaptive_programs(
                     )
                 continue
             consecutive_skips = 0
-            for hook in hooks:
+        # The first hook to return a replacement result wins.  Each hook
+        # list is tested before it is looped over: on the unhooked path the
+        # test is cheaper than an empty loop.
+        intercepted: Optional[InterceptedResult] = None
+        if intercept:
+            for method in intercept:
                 try:
-                    intercepted = hook.intercept(pid, operation)
+                    intercepted = method(pid, operation)
                 except BaseException as error:
-                    _note_hook_failure(error, hook, "intercept",
+                    _note_hook_failure(error, hooks, method, "intercept",
                                        pid=pid, global_step=step_index)
                     raise
                 if intercepted is not None:
@@ -455,18 +491,18 @@ def run_adaptive_programs(
                     result=result,
                 )
             )
-        if has_hooks:
-            for hook in hooks:
+        if after_step:
+            for method in after_step:
                 try:
-                    hook.after_step(pid, step_index, operation, result)
+                    method(pid, step_index, operation, result)
                 except BaseException as error:
-                    _note_hook_failure(error, hook, "after_step",
+                    _note_hook_failure(error, hooks, method, "after_step",
                                        pid=pid, global_step=step_index)
                     raise
         process.complete_step(result)
         if process.finished:
             del live[pid]
-            if has_hooks:
+            if on_finish:
                 emit("on_finish", pid, process.output,
                      pid=pid, step=step_index)
         step_index += 1

@@ -30,7 +30,16 @@ step counts only, so a faulted run remains a deterministic function of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ConfigurationError
 from repro.runtime.operations import Operation, Read, Write
@@ -42,6 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 __all__ = [
     "CRASH",
     "EXECUTE",
+    "HOOK_STAGES",
     "SKIP",
     "CrashFault",
     "FaultInjector",
@@ -55,6 +65,7 @@ __all__ = [
     "StallFault",
     "StepHook",
     "WorkerKillFault",
+    "hook_methods",
 ]
 
 # Slot decisions a hook may return from :meth:`StepHook.before_step`.
@@ -67,7 +78,10 @@ class StepHook:
     """Observer/interceptor interface the simulator consults at every step.
 
     Fault injectors and invariant monitors both subclass this.  All methods
-    are no-ops by default, so a hook overrides only what it needs.  Hooks
+    are no-ops by default, and overriding a method is how a hook subscribes
+    to it: at run start the step loops keep, per callback, only the hooks
+    whose method is not the default here (see :func:`hook_methods`), so a
+    hook pays for the callbacks it overrides and nothing else.  Hooks
     must not touch shared objects directly: they observe operations and
     results, and may only influence execution through the documented return
     values (``before_step`` slot decisions and ``intercept`` overrides).
@@ -130,6 +144,70 @@ class StepHook:
 
     def on_run_end(self, result: "RunResult") -> None:
         """Called once with the final :class:`RunResult`."""
+
+
+#: The :class:`StepHook` callbacks, in lifecycle order.
+HOOK_STAGES = (
+    "on_run_start", "before_step", "intercept", "after_step", "on_skip",
+    "on_crash", "on_finish", "on_run_end",
+)
+
+
+def _unwrapped(function: Any) -> Any:
+    """``function`` with every ``__wrapped__`` layer peeled off."""
+    while hasattr(function, "__wrapped__"):
+        function = function.__wrapped__
+    return function
+
+
+def hook_methods(hooks: Sequence[Any], stage: str) -> List[Callable[..., Any]]:
+    """The bound ``stage`` methods of the hooks that override it, in order.
+
+    A method is left out when it is still :class:`StepHook`'s no-op
+    default.  The test looks at the method the *instance* resolves, so an
+    instance attribute replacing a method counts as an override, and a
+    duck-typed hook contributes every method it defines.  Both sides are
+    unwrapped through ``__wrapped__`` first: a timing wrapper around an
+    inherited default is still the default.
+    """
+    default = _unwrapped(getattr(StepHook, stage))
+    methods: List[Callable[..., Any]] = []
+    for hook in hooks:
+        method = getattr(hook, stage, None)
+        if (method is not None
+                and _unwrapped(getattr(method, "__func__", method))
+                is not default):
+            methods.append(method)
+    return methods
+
+
+def _note_hook_failure(
+    error: BaseException,
+    hooks: Sequence[Any],
+    method: Callable[..., Any],
+    stage: str,
+    *,
+    pid: Optional[int] = None,
+    global_step: Optional[int] = None,
+) -> None:
+    """Attach who/where context to an exception escaping hook ``method``.
+
+    Fuzz campaigns surface hook failures (including strict monitor
+    violations) far from the run that produced them; the note pins the hook
+    class, lifecycle stage, pid, and global step so the failure is
+    diagnosable from the traceback alone.  The hook is looked up among
+    ``hooks`` (this is the failure path, so the scan costs nothing that
+    matters), which also names a hook whose method is an instance
+    attribute with no ``__self__``.
+    """
+    owner = next((hook for hook in hooks if getattr(hook, stage, None) == method),
+                 getattr(method, "__self__", method))
+    where = [f"in {type(owner).__name__}.{stage}"]
+    if pid is not None:
+        where.append(f"pid={pid}")
+    if global_step is not None:
+        where.append(f"global step={global_step}")
+    error.add_note("raised " + ", ".join(where))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ convention, and (b) every step can be traced and counted uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.memory.base import SharedObject
@@ -36,14 +36,19 @@ class Operation:
 
     Attributes:
         obj: the shared object the operation targets.
+        kind: short lowercase name of the operation's class (``"read"``,
+            ``"write"``, ...), used in traces; a class attribute, set once
+            per subclass.
     """
+
+    kind: ClassVar[str] = "operation"
 
     obj: "SharedObject"
 
-    @property
-    def kind(self) -> str:
-        """Short lowercase name of the operation, used in traces."""
-        return type(self).__name__.lower()
+    def __init_subclass__(cls) -> None:
+        # No super() call: ``slots=True`` rebuilds each dataclass, and the
+        # zero-argument form would name the pre-rebuild class.
+        cls.kind = cls.__name__.lower()
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,20 +18,28 @@ Step hooks (:class:`~repro.runtime.faults.StepHook`) are consulted at every
 slot: an injector may crash a process, withhold its slot, or intercept an
 operation, while invariant monitors (:mod:`repro.runtime.monitors`) observe
 every charged step and completion to check validity, coherence, and
-wait-freedom inline.
+wait-freedom inline.  Each callback is dispatched only to the hooks that
+override it (:func:`~repro.runtime.faults.hook_methods`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import (
     ScheduleExhaustedError,
     SimulationError,
     StepLimitExceededError,
 )
-from repro.runtime.faults import CRASH, SKIP, InterceptedResult, StepHook
-from repro.runtime.operations import Operation
+from repro.runtime.faults import (
+    CRASH,
+    HOOK_STAGES,
+    SKIP,
+    InterceptedResult,
+    StepHook,
+    _note_hook_failure,
+    hook_methods,
+)
 from repro.runtime.process import Process, ProcessContext, Program
 from repro.runtime.results import RunResult
 from repro.runtime.rng import SeedTree
@@ -41,29 +49,6 @@ from repro.runtime.trace import TraceEvent, TraceRecorder
 __all__ = ["Simulator", "run_programs"]
 
 _DEFAULT_STEP_LIMIT = 50_000_000
-
-
-def _note_hook_failure(
-    error: BaseException,
-    hook: StepHook,
-    stage: str,
-    *,
-    pid: Optional[int] = None,
-    global_step: Optional[int] = None,
-) -> None:
-    """Attach who/where context to an exception escaping a step hook.
-
-    Fuzz campaigns surface hook failures (including strict monitor
-    violations) far from the run that produced them; the note pins the hook
-    class, lifecycle stage, pid, and global step so the failure is
-    diagnosable from the traceback alone.
-    """
-    where = [f"in {type(hook).__name__}.{stage}"]
-    if pid is not None:
-        where.append(f"pid={pid}")
-    if global_step is not None:
-        where.append(f"global step={global_step}")
-    error.add_note("raised " + ", ".join(where))
 
 
 class Simulator:
@@ -84,9 +69,10 @@ class Simulator:
         hooks: :class:`~repro.runtime.faults.StepHook` instances consulted
             at every slot — fault injectors first, then monitors, so
             monitors observe the post-fault execution.  Hooked and
-            unhooked runs share one step loop; with no hooks it tests a
-            few locals per step and runs no hook machinery, so
-            observability costs next to nothing when it is not attached.
+            unhooked runs share one step loop, which calls each callback
+            only on the hooks that override it: a run with no hooks, or
+            none that override a given callback, spends one empty-list
+            test on it per step.
         skip_guard: consecutive free-slot threshold before the run is
             declared starved (default ``max(100_000, 1_000 * n)``).  Free
             slots are those naming a finished or crashed process, or a pid
@@ -139,6 +125,8 @@ class Simulator:
         # processes leave it, so one lookup tells the loop a slot is free.
         self._unfinished: Dict[int, Process] = dict(self.processes)
         self._crashed: set = set()
+        # Per callback, the hook methods this run calls (built by run()).
+        self._hook_methods: Dict[str, List[Callable[..., Any]]] = {}
 
     @property
     def crashed_pids(self) -> frozenset:
@@ -155,6 +143,9 @@ class Simulator:
         crashed by a fault hook do not count as unfinished: wait-freedom
         demands only that the survivors terminate.
         """
+        self._hook_methods = {
+            stage: hook_methods(self.hooks, stage) for stage in HOOK_STAGES
+        }
         emit = self._emit
         live = self._unfinished
         emit("on_run_start", self)
@@ -196,17 +187,21 @@ class Simulator:
     def _loop(self, skip_guard: int, allow_partial: bool) -> None:
         """The step loop, one copy for hooked and unhooked runs alike.
 
-        Everything a slot touches is hoisted into locals, and hook and
-        trace work sits behind tests of locals (``has_hooks``, ``trace``),
-        so an unhooked run pays a few branch tests per step and no hook
-        machinery.  The loop keeps going through
+        Everything a slot touches is hoisted into locals.  The hooks are
+        called through the run's per-callback method lists, so a callback
+        no hook overrides costs one empty-list test per step, and trace
+        work sits behind a test of ``trace``.  The loop keeps going through
         ``iter(schedule)``, ``SharedObject.apply`` and
         ``Process.complete_step``: those are the seams at which the
         step-cost ledger times the schedule, memory and protocol layers.
         """
         live = self._unfinished
         steps_by_pid = self._steps_by_pid
-        has_hooks = bool(self.hooks)
+        hooks = self.hooks
+        before_step = self._hook_methods["before_step"]
+        intercept = self._hook_methods["intercept"]
+        after_step = self._hook_methods["after_step"]
+        on_finish = self._hook_methods["on_finish"]
         trace = self.trace
         step_limit = self.step_limit
         find_live = live.get
@@ -231,8 +226,24 @@ class Simulator:
                     )
                 continue
             operation = process.pending_operation
-            if has_hooks:
-                action = self._consult_hooks(pid, step_index, operation)
+            if before_step:
+                # Crash wins over skip over execute; a crash ends the
+                # consultation.
+                action: Optional[str] = None
+                process_steps = steps_by_pid[pid]
+                for method in before_step:
+                    try:
+                        decision = method(pid, process_steps, step_index,
+                                          operation)
+                    except BaseException as error:
+                        _note_hook_failure(error, hooks, method, "before_step",
+                                           pid=pid, global_step=step_index)
+                        raise
+                    if decision == CRASH:
+                        action = CRASH
+                        break
+                    if decision == SKIP:
+                        action = SKIP
                 if action == CRASH:
                     self._crash(pid)
                     if not live:
@@ -258,10 +269,20 @@ class Simulator:
                 raise SimulationError(
                     f"process {pid} scheduled with no pending operation"
                 )
-            intercepted = (
-                self._intercept(pid, step_index, operation) if has_hooks
-                else None
-            )
+            # The first hook to return a replacement result wins.  Each hook
+            # list is tested before it is looped over: on the unhooked path the
+            # test is cheaper than an empty loop.
+            intercepted: Optional[InterceptedResult] = None
+            if intercept:
+                for method in intercept:
+                    try:
+                        intercepted = method(pid, operation)
+                    except BaseException as error:
+                        _note_hook_failure(error, hooks, method, "intercept",
+                                           pid=pid, global_step=step_index)
+                        raise
+                    if intercepted is not None:
+                        break
             if intercepted is None:
                 result = operation.obj.apply(operation, pid)
             else:
@@ -278,9 +299,14 @@ class Simulator:
                         result=result,
                     )
                 )
-            if has_hooks:
-                self._emit("after_step", pid, step_index, operation, result,
-                           pid=pid, step=step_index)
+            if after_step:
+                for method in after_step:
+                    try:
+                        method(pid, step_index, operation, result)
+                    except BaseException as error:
+                        _note_hook_failure(error, hooks, method, "after_step",
+                                           pid=pid, global_step=step_index)
+                        raise
             process.complete_step(result)
             step_index += 1
             if step_index > step_limit:
@@ -291,7 +317,7 @@ class Simulator:
                 )
             if process.finished:
                 del live[pid]
-                if has_hooks:
+                if on_finish:
                     self._emit("on_finish", pid, process.output,
                                pid=pid, step=step_index)
                 if not live:
@@ -310,48 +336,14 @@ class Simulator:
         pid: Optional[int] = None,
         step: Optional[int] = None,
     ) -> None:
-        """Call a void notification method on every hook, noting failures."""
-        for hook in self.hooks:
+        """Call the run's ``stage`` hook methods in order, noting failures."""
+        for method in self._hook_methods[stage]:
             try:
-                getattr(hook, stage)(*args)
+                method(*args)
             except BaseException as error:
-                _note_hook_failure(error, hook, stage, pid=pid, global_step=step)
+                _note_hook_failure(error, self.hooks, method, stage,
+                                   pid=pid, global_step=step)
                 raise
-
-    def _consult_hooks(
-        self, pid: int, step_index: int, operation: Optional[Operation]
-    ) -> Optional[str]:
-        """Ask every hook about this slot; crash wins over skip over execute."""
-        action: Optional[str] = None
-        for hook in self.hooks:
-            try:
-                decision = hook.before_step(
-                    pid, self._steps_by_pid[pid], step_index, operation
-                )
-            except BaseException as error:
-                _note_hook_failure(error, hook, "before_step",
-                                   pid=pid, global_step=step_index)
-                raise
-            if decision == CRASH:
-                return CRASH
-            if decision == SKIP:
-                action = SKIP
-        return action
-
-    def _intercept(
-        self, pid: int, step_index: int, operation: Operation
-    ) -> Optional[InterceptedResult]:
-        """The first hook's replacement result for this step, if any."""
-        for hook in self.hooks:
-            try:
-                intercepted = hook.intercept(pid, operation)
-            except BaseException as error:
-                _note_hook_failure(error, hook, "intercept",
-                                   pid=pid, global_step=step_index)
-                raise
-            if intercepted is not None:
-                return intercepted
-        return None
 
     def _crash(self, pid: int) -> None:
         """Fail-stop ``pid``: it keeps its state but never steps again."""

@@ -228,6 +228,79 @@ class TestOnSkip:
         assert list(info.value.unfinished_pids) == [0, 1]
 
 
+class TestRunStart:
+    """Adaptive runs emit ``on_run_start`` once, before the processes start,
+    so hooks that rely on it behave as they do under oblivious runs."""
+
+    def test_emitted_once_before_processes_start(self):
+        seen = []
+
+        class Recorder(StepHook):
+            def on_run_start(self, run):
+                seen.append(("start", run.n, run.step_limit,
+                             sorted(run._unfinished)))
+
+            def after_step(self, pid, step_index, operation, result):
+                seen.append("step")
+
+        register = AtomicRegister("r")
+        result = run_adaptive_programs(
+            [write_then_read(register)] * 3, ShortestFirstAdversary(),
+            SeedTree(0), hooks=[Recorder()], step_limit=1_000,
+        )
+        assert seen[0] == ("start", 3, 1_000, [0, 1, 2])
+        assert seen[1:] == ["step"] * result.total_steps
+
+    def test_metrics_count_runs_and_sample_queue_depth(self):
+        from repro.runtime.monitors import WaitFreedomWatchdog
+
+        registry = MetricsRegistry()
+        register = AtomicRegister("r")
+        result = run_adaptive_programs(
+            [writes(register, 4)] * 3, ShortestFirstAdversary(), SeedTree(0),
+            hooks=[WaitFreedomWatchdog(50, metrics=registry),
+                   MetricsHook(registry, queue_depth_every=1)],
+        )
+        assert registry.counter_value("run.count") == 1
+        assert registry.counter_value("monitor.wait_freedom.step_budget") == 50
+        depth = registry.histogram_for("sched.queue_depth")
+        assert depth is not None and depth.count == result.total_steps
+        # Shortest-first interleaves the three writers to the end, and a
+        # step is sampled before its process leaves the live set.
+        assert depth.max == 3.0 and depth.min == 1.0
+
+    def test_campaign_counts_every_run(self):
+        """Every scenario runs once, oblivious or adaptive, so ``run.count``
+        equals the trial count (adaptive runs used to be missing from it)."""
+        from repro.fuzz.campaign import run_fuzz_campaign
+        from repro.fuzz.scenario import FuzzConfig, generate_scenario
+
+        config = FuzzConfig()
+        assert any(generate_scenario(7, index, config).adaptive is not None
+                   for index in range(60))
+        report = run_fuzz_campaign(7, config, trials=60, shrink=False,
+                                   workers=1, collect_metrics=True)
+        assert report.metrics["counters"]["run.count"] == 60
+
+    def test_trace_reservoir_applies(self):
+        from repro.core.sifting_conciliator import SiftingConciliator
+        from repro.obs.tracing import TraceRecorder
+
+        n = 8
+        recorder = TraceRecorder(pid_reservoir=2)
+        run_adaptive_programs(
+            [SiftingConciliator(n).program] * n, ShortestFirstAdversary(),
+            SeedTree(5), inputs=list(range(n)), hooks=[recorder],
+        )
+        assert len(recorder.sampled_pids) == 2
+        traced = {event.pid for event in recorder.events
+                  if event.pid is not None}
+        assert traced <= recorder.sampled_pids
+        start = recorder.events_of_kind("run-start")
+        assert len(start) == 1
+        assert start[0].payload == {"n": n, "step_limit": 50_000_000}
+
+
 class TestStrategies:
     def test_pending_kind_prefers_listed_kind(self):
         register = AtomicRegister("r")

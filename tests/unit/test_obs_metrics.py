@@ -11,15 +11,22 @@ from repro.errors import ConfigurationError
 from repro.obs.metrics import (
     METRICS_SCHEMA_VERSION,
     Histogram,
+    MetricsHook,
     MetricsRegistry,
     collecting,
     get_default_registry,
     merge_snapshots,
 )
-from repro.runtime.faults import CrashFault, FaultPlan, StallFault
+from repro.runtime.faults import (
+    HOOK_STAGES,
+    CrashFault,
+    FaultPlan,
+    StallFault,
+    StepHook,
+)
 from repro.runtime.monitors import WaitFreedomWatchdog
 from repro.runtime.rng import SeedTree
-from repro.runtime.simulator import Simulator, run_programs
+from repro.runtime.simulator import run_programs
 from repro.workloads.schedules import make_schedule
 
 
@@ -171,6 +178,25 @@ class TestRuntimeIntegration:
         result = _run(n=3, ops=4)
         assert result.metrics is None
 
+    def test_zero_step_run_gains_no_step_counters(self):
+        registry = MetricsRegistry()
+        result = _run(n=3, ops=0, metrics=registry)
+        assert result.total_steps == 0
+        assert registry.counter_value("run.count") == 1
+        assert registry.counter_keys("sim.") == []
+
+    def test_reused_hook_keeps_counting_into_its_registry(self):
+        registry = MetricsRegistry()
+        hook = MetricsHook(registry)
+        first = _run(n=3, ops=4, hooks=[hook])
+        second = _run(n=2, ops=3, hooks=[hook])
+        assert registry.counter_value("run.count") == 2
+        assert (registry.counter_value("sim.steps")
+                == first.total_steps + second.total_steps)
+        assert (registry.counter_value("sim.ops", op="read")
+                + registry.counter_value("sim.ops", op="write")
+                == first.total_steps + second.total_steps)
+
     def test_crash_and_stall_metrics(self):
         from repro.obs.tracing import TraceRecorder
 
@@ -252,22 +278,34 @@ class TestSweepAggregation:
 
 class TestDisabledFastPath:
     def test_no_hook_machinery_consulted_without_hooks(self, monkeypatch):
-        calls = {"n": 0}
-        original = Simulator._consult_hooks
+        """Hook callbacks reach only the hooks that override them.
 
-        def counting(self, *args, **kwargs):
-            calls["n"] += 1
-            return original(self, *args, **kwargs)
+        Every callback of StepHook and MetricsHook is replaced by a counting
+        wrapper that sets ``__wrapped__``, the way timing wrappers do, so an
+        inherited no-op default stays recognisable as one.
+        """
+        calls = {stage: 0 for stage in HOOK_STAGES}
 
-        monkeypatch.setattr(Simulator, "_consult_hooks", counting)
+        def counting(stage, method):
+            def wrapper(*args, **kwargs):
+                calls[stage] += 1
+                return method(*args, **kwargs)
+
+            wrapper.__wrapped__ = method
+            return wrapper
+
+        for cls in (StepHook, MetricsHook):
+            for stage in HOOK_STAGES:
+                monkeypatch.setattr(cls, stage,
+                                    counting(stage, getattr(cls, stage)))
         _run(n=3, ops=4)
-        assert calls["n"] == 0, (
-            "hook consultation must be skipped entirely when no hooks are "
-            "attached"
+        assert sum(calls.values()) == 0, (
+            "a run with no hooks must call no hook method"
         )
-        registry = MetricsRegistry()
-        _run(n=3, ops=4, metrics=registry)
-        assert calls["n"] > 0
+        result = _run(n=3, ops=4, metrics=MetricsRegistry())
+        assert calls["after_step"] == result.total_steps > 0
+        assert calls["before_step"] == calls["intercept"] == 0
+        assert calls["on_run_start"] == calls["on_run_end"] == 1
 
     def test_disabled_run_not_slower_than_instrumented(self):
         """The observability microbench assertion.
