@@ -76,6 +76,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from repro import catalog
 from repro.analysis.theory import doubling_cil_step_bound, predicted_attribution
 from repro.errors import ConfigurationError
+from repro.jsonio import expect_versioned, load_json_file
 from repro.runtime.rng import derive_seed
 
 __all__ = [
@@ -496,23 +497,10 @@ def write_growth_json(
 
 def load_growth_json(path: Union[str, Path]) -> Dict[str, Any]:
     """Load a report, rejecting foreign schema versions."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as error:
-        raise ConfigurationError(
-            f"growth file {str(path)!r} cannot be read: {error}"
-        ) from error
-    except json.JSONDecodeError as error:
-        raise ConfigurationError(
-            f"growth file {str(path)!r} is not valid JSON: {error}"
-        ) from error
-    if not isinstance(data, dict) or data.get("v") != GROWTH_SCHEMA_VERSION:
-        version = data.get("v") if isinstance(data, dict) else None
-        raise ConfigurationError(
-            f"unsupported growth schema version {version!r} in "
-            f"{str(path)!r}; this build reads version {GROWTH_SCHEMA_VERSION}"
-        )
-    return data
+    return expect_versioned(
+        load_json_file(path, "growth file"), f"growth file {str(path)!r}",
+        GROWTH_SCHEMA_VERSION, key="v",
+    )
 
 
 def deterministic_view(report: Dict[str, Any]) -> Dict[str, Any]:

@@ -29,6 +29,7 @@ from repro import catalog
 from repro.analysis.experiments import run_conciliator_trials
 from repro.analysis.tables import render_table
 from repro.errors import ConfigurationError
+from repro.jsonio import expect_versioned
 from repro.memory.semantics import REGISTER_MODEL_KINDS, RegisterModel
 from repro.runtime.adaptive import ADAPTIVE_FAMILIES, AdaptiveSpec
 from repro.runtime.adversary import ADVERSARY_LADDER, AdversarySpec
@@ -98,15 +99,9 @@ class ProbeReport:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "ProbeReport":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"probe report JSON must be an object, got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported probe report version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
+        expect_versioned(
+            data, "probe report", cls._JSON_VERSION, key="version"
+        )
         return cls(
             seed=int(data["seed"]),
             n=int(data["n"]),

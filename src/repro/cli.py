@@ -1161,8 +1161,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     {
                         "name": trend.name,
                         "points": trend.points,
-                        "first_steps_per_sec": trend.first_steps_per_sec,
-                        "last_steps_per_sec": trend.last_steps_per_sec,
+                        "first_steps_per_sec": trend.first,
+                        "last_steps_per_sec": trend.last,
                         "latest_change": trend.latest_change,
                         "overall_change": trend.overall_change,
                     }
@@ -1352,8 +1352,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     import json as json_module
 
     if args.slo_command == "trend":
-        from dataclasses import asdict
-
         from repro.service.slo import (
             load_slo_history,
             render_slo_trend,
@@ -1363,8 +1361,17 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         entries = load_slo_history(args.history)
         if args.json:
             print(json_module.dumps(
-                [asdict(trend)
-                 for trend in summarize_slo_trend(entries, last=args.last)],
+                [
+                    {
+                        "metric": trend.name,
+                        "points": trend.points,
+                        "first": trend.first,
+                        "last": trend.last,
+                        "latest_change": trend.latest_change,
+                        "overall_change": trend.overall_change,
+                    }
+                    for trend in summarize_slo_trend(entries, last=args.last)
+                ],
                 indent=2, sort_keys=True,
             ))
         else:

@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.fuzz.scenario import Scenario, ScenarioOutcome, run_scenario
+from repro.jsonio import expect_versioned, load_json_file
 
 __all__ = [
     "CORPUS_VERSION",
@@ -68,19 +69,9 @@ class CorpusCase:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "CorpusCase":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"corpus case JSON must be an object, got {type(data).__name__}"
-            )
-        if data.get("version") != CORPUS_VERSION:
-            raise ConfigurationError(
-                f"unsupported corpus case version {data.get('version')!r}; "
-                f"this build reads version {CORPUS_VERSION}"
-            )
-        if data.get("kind") != _CASE_KIND:
-            raise ConfigurationError(
-                f"not a corpus case: kind={data.get('kind')!r}"
-            )
+        expect_versioned(
+            data, "corpus case", CORPUS_VERSION, key="version", kind=_CASE_KIND
+        )
         return cls(
             scenario=Scenario.from_json(data["scenario"]),
             oracles=tuple(str(name) for name in data.get("oracles", ())),
@@ -127,11 +118,7 @@ def save_case(case: CorpusCase, corpus_dir: Path) -> Path:
 
 def load_case(path: Path) -> CorpusCase:
     """Parse one corpus file (unknown versions are rejected)."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as error:
-        raise ConfigurationError(f"corpus file {path} is not JSON: {error}")
-    return CorpusCase.from_json(data)
+    return CorpusCase.from_json(load_json_file(path, "corpus file"))
 
 
 def load_corpus(corpus_dir: Path) -> List[Tuple[Path, CorpusCase]]:

@@ -29,10 +29,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.theory import predicted_attribution
-from repro.errors import ConfigurationError
 from repro.fuzz.corpus import CorpusCase
 from repro.fuzz.scenario import Scenario, run_scenario
 from repro.fuzz.stacks import get_stack
+from repro.jsonio import expect_versioned
 from repro.obs.analyze import (
     ANALYSIS_SCHEMA_VERSION,
     AttributionReport,
@@ -106,19 +106,10 @@ class CaseExplanation:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "CaseExplanation":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"explanation must be a JSON object, got {type(data).__name__}"
-            )
-        if data.get("v") != EXPLAIN_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported explanation version {data.get('v')!r}; this "
-                f"build reads version {EXPLAIN_SCHEMA_VERSION}"
-            )
-        if data.get("kind") != _EXPLANATION_KIND:
-            raise ConfigurationError(
-                f"not a case explanation: kind={data.get('kind')!r}"
-            )
+        expect_versioned(
+            data, "case explanation", EXPLAIN_SCHEMA_VERSION, key="v",
+            kind=_EXPLANATION_KIND,
+        )
         disagreement = data.get("disagreement")
         attribution = data.get("attribution")
         return cls(

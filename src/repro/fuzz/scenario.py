@@ -55,6 +55,7 @@ from repro.fuzz.stacks import (
     get_stack,
     stack_names,
 )
+from repro.jsonio import expect_versioned
 from repro.memory.semantics import RegisterModel, SemanticsInjector
 from repro.obs.metrics import MetricsHook, MetricsRegistry
 from repro.runtime.adaptive import ADAPTIVE_FAMILIES, AdaptiveSpec, run_adaptive_programs
@@ -214,15 +215,7 @@ class Scenario:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "Scenario":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"scenario JSON must be an object, got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported scenario version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
+        expect_versioned(data, "scenario", cls._JSON_VERSION, key="version")
         schedule = data.get("schedule")
         adaptive = data.get("adaptive")
         adversary = data.get("adversary")
@@ -369,15 +362,7 @@ class FuzzConfig:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "FuzzConfig":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"fuzz config JSON must be an object, got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported fuzz config version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
+        expect_versioned(data, "fuzz config", cls._JSON_VERSION, key="version")
         register_model = data.get("register_model")
         adversary = data.get("adversary")
         return cls(

@@ -84,7 +84,8 @@ from repro.obs.timeline import (
 from repro.obs.tracing import TraceRecorder
 from repro.obs.trend import (
     TREND_SCHEMA_VERSION,
-    CaseTrend,
+    Trend,
+    TrendLedger,
     append_history,
     history_entry,
     load_history,
@@ -99,7 +100,6 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BenchComparison",
     "CaseComparison",
-    "CaseTrend",
     "Counter",
     "DisagreementReport",
     "EVENT_KINDS",
@@ -114,6 +114,8 @@ __all__ = [
     "TREND_SCHEMA_VERSION",
     "TraceEventRecord",
     "TraceRecorder",
+    "Trend",
+    "TrendLedger",
     "append_history",
     "attribute_steps",
     "build_lineages",

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.jsonio import expect_versioned
 from repro.obs.events import TraceEventRecord
 
 __all__ = [
@@ -78,23 +79,6 @@ def _payload_mentions(value: Any, needle: str) -> bool:
     if isinstance(value, str):
         return needle in value
     return needle in json.dumps(value, sort_keys=True, default=repr)
-
-
-def _check_version(data: Any, kind: str) -> Dict[str, Any]:
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"analysis report must be a JSON object, got {type(data).__name__}"
-        )
-    if data.get("v") != ANALYSIS_SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported analysis report version {data.get('v')!r}; this "
-            f"build reads version {ANALYSIS_SCHEMA_VERSION}"
-        )
-    if data.get("kind") != kind:
-        raise ConfigurationError(
-            f"wrong analysis report kind {data.get('kind')!r}; expected {kind!r}"
-        )
-    return data
 
 
 # ----- persona lineage -------------------------------------------------------
@@ -344,7 +328,10 @@ class DisagreementReport:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "DisagreementReport":
-        data = _check_version(data, _DISAGREEMENT_KIND)
+        expect_versioned(
+            data, "analysis report", ANALYSIS_SCHEMA_VERSION, key="v",
+            kind=_DISAGREEMENT_KIND,
+        )
         return cls(
             diverged=bool(data["diverged"]),
             divergence_round=data.get("divergence_round"),
@@ -515,7 +502,10 @@ class AttributionReport:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "AttributionReport":
-        data = _check_version(data, _ATTRIBUTION_KIND)
+        expect_versioned(
+            data, "analysis report", ANALYSIS_SCHEMA_VERSION, key="v",
+            kind=_ATTRIBUTION_KIND,
+        )
         return cls(
             predicted=dict(data["predicted"]),
             observed_rounds=int(data["observed_rounds"]),

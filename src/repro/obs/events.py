@@ -17,12 +17,12 @@ from a different schema generation is worse than refusing it.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Union
 
 from repro.errors import ConfigurationError
+from repro.jsonio import expect_versioned, iter_jsonl
 
 __all__ = [
     "EVENT_KINDS",
@@ -114,16 +114,7 @@ def event_from_json(data: Dict[str, Any]) -> TraceEventRecord:
     Raises :class:`~repro.errors.ConfigurationError` for non-objects,
     missing/foreign versions, and unknown kinds.
     """
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"trace event must be a JSON object, got {type(data).__name__}"
-        )
-    version = data.get("v")
-    if version != TRACE_SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported trace event version {version!r}; this build "
-            f"reads version {TRACE_SCHEMA_VERSION}"
-        )
+    expect_versioned(data, "trace event", TRACE_SCHEMA_VERSION, key="v")
     return TraceEventRecord(
         kind=str(data.get("kind", "")),
         step=data.get("step"),
@@ -170,37 +161,10 @@ def read_trace_jsonl(path: Union[str, Path]) -> List[TraceEventRecord]:
 def iter_trace_jsonl(path: Union[str, Path]) -> Iterator[TraceEventRecord]:
     """Stream a JSONL trace without holding it all in memory.
 
-    Tolerates a torn *final* line — the signature of a writer killed
-    mid-append, the same contract as the checkpoint journal — by dropping
-    it with a warning instead of crashing mid-triage.  An unparseable
-    line with durable lines after it is corruption, not tearing, and
-    raises; so does any parseable line with a foreign schema version,
-    even at the tail (a version mismatch is never a partial write).
+    A torn final line — a writer killed mid-append — is dropped with a
+    warning; see :func:`repro.jsonio.iter_jsonl` for the contract.
     """
-    pending: Optional[Tuple[int, str]] = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if pending is not None:
-                raise ConfigurationError(
-                    f"trace {str(path)!r} line {pending[0]} is unreadable "
-                    f"but later lines exist: {pending[1]}"
-                )
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as error:
-                pending = (line_number, str(error))
-                continue
-            yield event_from_json(data)
-    if pending is not None:
-        warnings.warn(
-            f"trace {str(path)!r} ends with a torn line "
-            f"(line {pending[0]}); dropping it: {pending[1]}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    return iter_jsonl(path, "trace", event_from_json)
 
 
 __all__ += ["OPERATION_EVENT_KINDS", "dumps_event", "iter_trace_jsonl",

@@ -41,6 +41,7 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError
+from repro.jsonio import expect_versioned
 from repro.runtime.faults import StepHook
 from repro.runtime.operations import Operation
 
@@ -270,16 +271,9 @@ class MetricsRegistry:
         cls, data: Dict[str, Any], *, max_samples: int = DEFAULT_MAX_SAMPLES
     ) -> "MetricsRegistry":
         """Rebuild a registry from a snapshot, rejecting foreign versions."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"metrics snapshot must be a JSON object, "
-                f"got {type(data).__name__}"
-            )
-        if data.get("v") != METRICS_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported metrics snapshot version {data.get('v')!r}; "
-                f"this build reads version {METRICS_SCHEMA_VERSION}"
-            )
+        expect_versioned(
+            data, "metrics snapshot", METRICS_SCHEMA_VERSION, key="v"
+        )
         registry = cls(max_samples=max_samples)
         for key, value in data.get("counters", {}).items():
             registry._counters[key] = Counter(value)

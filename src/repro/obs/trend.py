@@ -1,35 +1,44 @@
-"""Append-only bench trend ledger: ``benchmarks/BENCH_history.jsonl``.
+"""Append-only trend ledgers and the one trend table they share.
 
 A single bench report answers "how fast is this commit?"; the gate
 (:func:`~repro.obs.bench.compare_bench`) answers "did this PR regress?".
 Neither answers "what has steps/sec done over the last ten PRs?" — that
-needs history.  This module keeps it as JSONL: one line per bench run,
-carrying the git SHA, the creation time, and each case's steps/sec.
-Appending a line never rewrites earlier ones, so the ledger survives
-crashes mid-append with at most one torn final line — which the reader
-tolerates with a warning, the same contract as the PR 2 checkpoint
-journal and :func:`~repro.obs.events.iter_trace_jsonl`.
+needs history.  The bench ledger (``benchmarks/BENCH_history.jsonl``)
+keeps it as JSONL: one line per bench run, carrying the git SHA, the
+creation time, and each case's steps/sec.  The SLO ledger
+(:mod:`repro.service.slo`) keeps one line per loadtest the same way.
 
-Entries carry ``"v": TREND_SCHEMA_VERSION`` and foreign versions are
-rejected loudly.  Timing numbers are host-dependent; the summary compares
-entries from whatever hosts produced them, so read cross-host deltas as
-context, not verdicts (the ``env`` fingerprint in the full bench report is
-the tie-breaker).
+Both are a :class:`TrendLedger`: a kind-stamped, versioned JSONL file
+read with the torn-tail contract of :func:`repro.jsonio.iter_jsonl`, and
+summarized per series into :class:`Trend` rows.  Timing numbers are
+host-dependent; the summary compares entries from whatever hosts produced
+them, so read cross-host deltas as context, not verdicts (the ``env``
+fingerprint in the full bench report is the tie-breaker).
 """
 
 from __future__ import annotations
 
-import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ConfigurationError
+from repro.jsonio import append_jsonl, expect_versioned, iter_jsonl
 
 __all__ = [
     "TREND_SCHEMA_VERSION",
-    "CaseTrend",
+    "Trend",
+    "TrendLedger",
     "append_history",
     "history_entry",
     "load_history",
@@ -37,10 +46,145 @@ __all__ = [
     "summarize_trend",
 ]
 
-#: Version stamped on every ledger line; bump on incompatible change.
+#: Version stamped on every bench ledger line; bump on incompatible change.
 TREND_SCHEMA_VERSION = 1
 
-_ENTRY_KIND = "repro-bench-history"
+
+@dataclass(frozen=True)
+class Trend:
+    """One series' trajectory across the loaded ledger entries."""
+
+    name: str
+    points: int
+    first: float
+    last: float
+    #: Fractional change from the newest entry's predecessor; ``None``
+    #: when the series appears in fewer than two entries or the older
+    #: value is zero (fractions of zero are meaningless, not infinite).
+    latest_change: Optional[float]
+    #: Fractional change across the whole window (first -> last).
+    overall_change: Optional[float]
+
+
+def _fraction(old: float, new: float) -> Optional[float]:
+    return (new - old) / old if old > 0 else None
+
+
+@dataclass(frozen=True)
+class TrendLedger:
+    """What fixes one ledger's format: its kind, its series, its table.
+
+    ``series(entry)`` maps series names to values.  ``names`` fixes which
+    series are summarized, in that order; ``None`` means every name seen,
+    sorted.  ``column``, ``width`` and ``digits`` shape the rendered
+    table, and ``command`` is the CLI that starts the ledger.
+    """
+
+    label: str
+    kind: str
+    version: int
+    series: Callable[[Dict[str, Any]], Mapping[str, Any]]
+    names: Optional[Tuple[str, ...]]
+    column: str
+    width: int
+    digits: int
+    command: str
+
+    def load(self, path: Union[str, Path]) -> List[Dict[str, Any]]:
+        """The ledger's entries in append order; a missing file is empty."""
+        if not Path(path).exists():
+            return []
+        what = f"{self.label} history"
+        return list(iter_jsonl(path, what, lambda data: expect_versioned(
+            data, f"{what} entry", self.version, key="v", kind=self.kind,
+        )))
+
+    def summarize(
+        self, entries: Sequence[Dict[str, Any]], *, last: Optional[int] = None
+    ) -> List[Trend]:
+        """Per-series first/last/delta summary over the (windowed) ledger.
+
+        ``last`` restricts the window to the newest N entries.  Series are
+        summarized independently: an entry lacking one is skipped for it.
+        """
+        rows = [self.series(entry) for entry in _window(entries, last)]
+        names = self.names
+        if names is None:
+            names = tuple(sorted({name for row in rows for name in row}))
+        trends: List[Trend] = []
+        for name in names:
+            values = [float(row[name]) for row in rows if name in row]
+            if not values:
+                continue
+            two = len(values) >= 2
+            trends.append(Trend(
+                name=name,
+                points=len(values),
+                first=values[0],
+                last=values[-1],
+                latest_change=(
+                    _fraction(values[-2], values[-1]) if two else None
+                ),
+                overall_change=(
+                    _fraction(values[0], values[-1]) if two else None
+                ),
+            ))
+        return trends
+
+    def render(
+        self, entries: Sequence[Dict[str, Any]], *, last: Optional[int] = None
+    ) -> str:
+        """Human-readable trend table for terminal output."""
+        if not entries:
+            return (f"{self.label} history is empty; run `repro "
+                    f"{self.command} --history` to start the ledger")
+        trends = self.summarize(entries, last=last)
+        window = _window(entries, last)
+        first_sha = str(window[0].get("git_sha", "unknown"))[:12]
+        last_sha = str(window[-1].get("git_sha", "unknown"))[:12]
+        width, digits = self.width, self.digits
+        lines = [
+            f"{self.label} trend over {len(window)} entr"
+            f"{'y' if len(window) == 1 else 'ies'} "
+            f"({first_sha} -> {last_sha})",
+            f"{self.column:<{width}} {'first':>12} {'last':>12} "
+            f"{'latest':>8} {'overall':>8}  points",
+        ]
+        for trend in trends:
+            latest = (f"{trend.latest_change:+.1%}"
+                      if trend.latest_change is not None else "-")
+            overall = (f"{trend.overall_change:+.1%}"
+                       if trend.overall_change is not None else "-")
+            lines.append(
+                f"{trend.name:<{width}} {trend.first:>12.{digits}f} "
+                f"{trend.last:>12.{digits}f} {latest:>8} {overall:>8}  "
+                f"{trend.points}"
+            )
+        return "\n".join(lines)
+
+
+def _window(
+    entries: Sequence[Dict[str, Any]], last: Optional[int]
+) -> List[Dict[str, Any]]:
+    if last is None:
+        return list(entries)
+    if last < 1:
+        raise ConfigurationError(f"last must be >= 1, got {last}")
+    return list(entries)[-last:]
+
+
+#: The bench ledger: one series per bench case (steps/sec), sorted by name.
+BENCH_LEDGER = TrendLedger(
+    label="bench",
+    kind="repro-bench-history",
+    version=TREND_SCHEMA_VERSION,
+    series=lambda entry: entry.get("cases", {}),
+    names=None,
+    column="case",
+    width=24,
+    digits=0,
+    command="bench",
+)
 
 
 def history_entry(report: Dict[str, Any]) -> Dict[str, Any]:
@@ -52,7 +196,7 @@ def history_entry(report: Dict[str, Any]) -> Dict[str, Any]:
         )
     return {
         "v": TREND_SCHEMA_VERSION,
-        "kind": _ENTRY_KIND,
+        "kind": BENCH_LEDGER.kind,
         "label": report["label"],
         "quick": bool(report.get("quick", False)),
         "seed": report.get("seed"),
@@ -70,144 +214,24 @@ def append_history(
 ) -> Dict[str, Any]:
     """Append one report's ledger line to ``path``; returns the entry."""
     entry = history_entry(report)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, sort_keys=True,
-                                separators=(",", ":")))
-        handle.write("\n")
+    append_jsonl(path, entry)
     return entry
 
 
 def load_history(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Load the ledger, in append order.
-
-    A missing file is an empty history.  An unparseable *final* line is a
-    torn append — tolerated with a warning.  An unparseable line with
-    durable entries after it, or any parseable line with a foreign
-    version, raises :class:`~repro.errors.ConfigurationError`.
-    """
-    path = Path(path)
-    if not path.exists():
-        return []
-    entries: List[Dict[str, Any]] = []
-    pending_error: Optional[Tuple[int, str]] = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if pending_error is not None:
-                raise ConfigurationError(
-                    f"bench history {str(path)!r} line {pending_error[0]} "
-                    f"is unreadable but later entries exist: "
-                    f"{pending_error[1]}"
-                )
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as error:
-                pending_error = (line_number, str(error))
-                continue
-            if not isinstance(entry, dict) \
-                    or entry.get("v") != TREND_SCHEMA_VERSION:
-                version = entry.get("v") if isinstance(entry, dict) else None
-                raise ConfigurationError(
-                    f"unsupported bench history version {version!r} at "
-                    f"{str(path)!r} line {line_number}; this build reads "
-                    f"version {TREND_SCHEMA_VERSION}"
-                )
-            entries.append(entry)
-    if pending_error is not None:
-        warnings.warn(
-            f"bench history {str(path)!r} ends with a torn line "
-            f"(line {pending_error[0]}); dropping it: {pending_error[1]}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return entries
-
-
-@dataclass(frozen=True)
-class CaseTrend:
-    """One case's trajectory across the loaded ledger entries."""
-
-    name: str
-    points: int
-    first_steps_per_sec: float
-    last_steps_per_sec: float
-    #: Fractional change from the newest entry's predecessor; ``None``
-    #: when the case appears in fewer than two entries.
-    latest_change: Optional[float]
-    #: Fractional change across the whole window (first -> last).
-    overall_change: Optional[float]
-
-
-def _fraction(old: float, new: float) -> Optional[float]:
-    return (new - old) / old if old > 0 else None
+    """Load the bench ledger; foreign versions and kinds raise."""
+    return BENCH_LEDGER.load(path)
 
 
 def summarize_trend(
     entries: Sequence[Dict[str, Any]], *, last: Optional[int] = None
-) -> List[CaseTrend]:
-    """Per-case first/last/delta summary over the (windowed) ledger.
-
-    ``last`` restricts the window to the newest N entries.  Cases are
-    summarized independently because the suite can gain cases over time.
-    """
-    if last is not None:
-        if last < 1:
-            raise ConfigurationError(f"last must be >= 1, got {last}")
-        entries = list(entries)[-last:]
-    series: Dict[str, List[float]] = {}
-    for entry in entries:
-        for name, steps_per_sec in entry.get("cases", {}).items():
-            series.setdefault(name, []).append(float(steps_per_sec))
-    trends: List[CaseTrend] = []
-    for name in sorted(series):
-        values = series[name]
-        trends.append(CaseTrend(
-            name=name,
-            points=len(values),
-            first_steps_per_sec=values[0],
-            last_steps_per_sec=values[-1],
-            latest_change=(
-                _fraction(values[-2], values[-1]) if len(values) >= 2
-                else None
-            ),
-            overall_change=(
-                _fraction(values[0], values[-1]) if len(values) >= 2
-                else None
-            ),
-        ))
-    return trends
+) -> List[Trend]:
+    """Per-case summary, cases sorted by name (the suite grows over time)."""
+    return BENCH_LEDGER.summarize(entries, last=last)
 
 
 def render_trend(
     entries: Sequence[Dict[str, Any]], *, last: Optional[int] = None
 ) -> str:
-    """Human-readable trend table for terminal output."""
-    if not entries:
-        return ("bench history is empty; run `repro bench --history` to "
-                "start the ledger")
-    trends = summarize_trend(entries, last=last)
-    window = list(entries)[-last:] if last is not None else list(entries)
-    first_sha = str(window[0].get("git_sha", "unknown"))[:12]
-    last_sha = str(window[-1].get("git_sha", "unknown"))[:12]
-    lines = [
-        f"bench trend over {len(window)} entr"
-        f"{'y' if len(window) == 1 else 'ies'} "
-        f"({first_sha} -> {last_sha})",
-        f"{'case':<24} {'first':>12} {'last':>12} {'latest':>8} "
-        f"{'overall':>8}  points",
-    ]
-    for trend in trends:
-        latest = (f"{trend.latest_change:+.1%}"
-                  if trend.latest_change is not None else "-")
-        overall = (f"{trend.overall_change:+.1%}"
-                   if trend.overall_change is not None else "-")
-        lines.append(
-            f"{trend.name:<24} {trend.first_steps_per_sec:>12.0f} "
-            f"{trend.last_steps_per_sec:>12.0f} {latest:>8} {overall:>8}  "
-            f"{trend.points}"
-        )
-    return "\n".join(lines)
+    """The bench trend table."""
+    return BENCH_LEDGER.render(entries, last=last)

@@ -39,6 +39,7 @@ from repro.errors import (
     SimulationError,
     StepLimitExceededError,
 )
+from repro.jsonio import expect_versioned
 from repro.runtime.faults import (
     CRASH,
     HOOK_STAGES,
@@ -315,15 +316,9 @@ class AdaptiveSpec:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "AdaptiveSpec":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"adaptive spec JSON must be an object, got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported adaptive spec version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
+        expect_versioned(
+            data, "adaptive spec", cls._JSON_VERSION, key="version"
+        )
         return cls(name=str(data["name"]), seed=int(data.get("seed", 0)))
 
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.jsonio import expect_versioned
 from repro.runtime.adaptive import (
     ADAPTIVE_FAMILIES,
     AdaptiveAdversary,
@@ -315,16 +316,9 @@ class AdversarySpec:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "AdversarySpec":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"adversary spec JSON must be an object, "
-                f"got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported adversary spec version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
+        expect_versioned(
+            data, "adversary spec", cls._JSON_VERSION, key="version"
+        )
         return cls(
             kind=str(data["kind"]),
             inner=str(data.get("inner", "sift-killer")),

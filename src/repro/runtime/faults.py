@@ -42,6 +42,7 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError
+from repro.jsonio import expect_versioned
 from repro.runtime.operations import Operation, Read, Write
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -415,15 +416,7 @@ class FaultPlan:
         own validation, so a hand-edited corpus case cannot smuggle in an
         out-of-model fault without the explicit opt-in flag.
         """
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"fault plan JSON must be an object, got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported fault plan version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
+        expect_versioned(data, "fault plan", cls._JSON_VERSION, key="version")
         return cls(
             crashes=tuple(
                 CrashFault(pid=int(entry["pid"]),
@@ -699,17 +692,9 @@ class ServiceFaultPlan:
     def from_json(cls, data: Dict[str, Any]) -> "ServiceFaultPlan":
         """Rebuild a plan from :meth:`to_json` output, rejecting foreign
         versions; every fault re-runs its own validation."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"service fault plan JSON must be an object, "
-                f"got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported service fault plan version "
-                f"{data.get('version')!r}; this build reads version "
-                f"{cls._JSON_VERSION}"
-            )
+        expect_versioned(
+            data, "service fault plan", cls._JSON_VERSION, key="version"
+        )
         return cls(
             worker_kills=tuple(
                 WorkerKillFault(

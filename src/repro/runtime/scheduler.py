@@ -42,6 +42,7 @@ import random
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.jsonio import expect_versioned
 from repro.runtime.rng import SeedTree
 
 __all__ = [
@@ -133,19 +134,10 @@ class ExplicitSchedule(Schedule):
         :class:`~repro.errors.ConfigurationError` so a future format change
         cannot be silently misread as today's.
         """
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"explicit schedule JSON must be an object, got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported explicit schedule version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
-        if data.get("kind") != "explicit":
-            raise ConfigurationError(
-                f"expected kind 'explicit', got {data.get('kind')!r}"
-            )
+        expect_versioned(
+            data, "explicit schedule", cls._JSON_VERSION, key="version",
+            kind="explicit",
+        )
         return cls(list(data["slots"]), n=int(data["n"]))
 
 

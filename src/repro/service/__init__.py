@@ -41,7 +41,6 @@ from repro.service.session import (
 from repro.service.slo import (
     SLO_SCHEMA_VERSION,
     SLO_TREND_METRICS,
-    SLOTrend,
     append_slo_history,
     build_report,
     deterministic_view,
@@ -86,7 +85,6 @@ __all__ = [
     "CircuitBreaker",
     "ConsensusService",
     "LoadtestResult",
-    "SLOTrend",
     "ServiceConfig",
     "ServiceServer",
     "SessionRequest",

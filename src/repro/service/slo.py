@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.jsonio import append_jsonl, expect_versioned, load_json_file
+from repro.obs.trend import Trend, TrendLedger
 from repro.service.loadgen import LoadtestResult
 from repro.service.session import (
     COMPLETED,
@@ -38,8 +38,8 @@ from repro.service.spans import PHASE_NAMES, span_digest
 
 __all__ = [
     "SLO_SCHEMA_VERSION",
+    "SLO_LEDGER",
     "SLO_TREND_METRICS",
-    "SLOTrend",
     "append_slo_history",
     "build_report",
     "deterministic_view",
@@ -252,15 +252,10 @@ def write_report(report: Dict[str, Any], path: str) -> None:
 
 def load_report(path: str) -> Dict[str, Any]:
     """Read a report back, refusing foreign schema versions."""
-    with open(path, "r", encoding="utf-8") as handle:
-        report = json.load(handle)
-    if not isinstance(report, dict) or report.get("v") != SLO_SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported SLO report version "
-            f"{report.get('v') if isinstance(report, dict) else report!r}; "
-            f"this build reads version {SLO_SCHEMA_VERSION}"
-        )
-    return report
+    return expect_versioned(
+        load_json_file(path, "SLO report"), f"SLO report {str(path)!r}",
+        SLO_SCHEMA_VERSION, key="v",
+    )
 
 
 def render_report(report: Dict[str, Any]) -> str:
@@ -337,11 +332,11 @@ def render_report(report: Dict[str, Any]) -> str:
 def slo_history_entry(report: Dict[str, Any]) -> Dict[str, Any]:
     """Distill one SLO report to a trend-ledger line.
 
-    The same append-only JSONL discipline as the bench ledger
-    (:mod:`repro.obs.trend`): one compact line per run, carrying the
-    handful of numbers worth trending (tail latency, shed rate, goodput,
-    attainment) plus enough identity (seed, profile, git SHA) to explain
-    a shift.
+    The same append-only JSONL ledger as the bench history (see
+    :class:`repro.obs.trend.TrendLedger`): one compact line per run,
+    carrying the handful of numbers worth trending (tail latency, shed
+    rate, goodput, attainment) plus enough identity (seed, profile, git
+    SHA) to explain a shift.
     """
     from repro.obs.bench import _git_sha
 
@@ -370,16 +365,8 @@ def slo_history_entry(report: Dict[str, Any]) -> Dict[str, Any]:
 
 def append_slo_history(report: Dict[str, Any], path: str) -> Dict[str, Any]:
     """Append one report's ledger line to ``path``; returns the entry."""
-    import os
-
     entry = slo_history_entry(report)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, sort_keys=True,
-                                separators=(",", ":")))
-        handle.write("\n")
+    append_jsonl(path, entry)
     return entry
 
 
@@ -391,146 +378,35 @@ SLO_TREND_METRICS: Tuple[str, ...] = (
     "p50", "p99", "shed_rate", "goodput_per_sec", "attainment",
 )
 
+#: The SLO ledger: one series per :data:`SLO_TREND_METRICS` field, in
+#: that order; older lines lacking a metric are skipped for it.
+SLO_LEDGER = TrendLedger(
+    label="SLO",
+    kind=_HISTORY_KIND,
+    version=SLO_SCHEMA_VERSION,
+    series=lambda entry: entry,
+    names=SLO_TREND_METRICS,
+    column="metric",
+    width=18,
+    digits=4,
+    command="loadtest",
+)
+
 
 def load_slo_history(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Load the SLO ledger, in append order.
-
-    Same contract as the bench ledger reader
-    (:func:`repro.obs.trend.load_history`): a missing file is an empty
-    history; an unparseable *final* line is a torn append, tolerated with
-    a warning; an unparseable line with durable entries after it, or any
-    parseable line with a foreign version or kind, raises
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    path = Path(path)
-    if not path.exists():
-        return []
-    entries: List[Dict[str, Any]] = []
-    pending_error: Optional[Tuple[int, str]] = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if pending_error is not None:
-                raise ConfigurationError(
-                    f"SLO history {str(path)!r} line {pending_error[0]} "
-                    f"is unreadable but later entries exist: "
-                    f"{pending_error[1]}"
-                )
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as error:
-                pending_error = (line_number, str(error))
-                continue
-            if not isinstance(entry, dict) \
-                    or entry.get("v") != SLO_SCHEMA_VERSION:
-                version = entry.get("v") if isinstance(entry, dict) else None
-                raise ConfigurationError(
-                    f"unsupported SLO history version {version!r} at "
-                    f"{str(path)!r} line {line_number}; this build reads "
-                    f"version {SLO_SCHEMA_VERSION}"
-                )
-            if entry.get("kind") != _HISTORY_KIND:
-                raise ConfigurationError(
-                    f"{str(path)!r} line {line_number} is not an SLO "
-                    f"history entry (kind={entry.get('kind')!r}, "
-                    f"expected {_HISTORY_KIND!r})"
-                )
-            entries.append(entry)
-    if pending_error is not None:
-        warnings.warn(
-            f"SLO history {str(path)!r} ends with a torn line "
-            f"(line {pending_error[0]}); dropping it: {pending_error[1]}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return entries
-
-
-@dataclass(frozen=True)
-class SLOTrend:
-    """One ledger metric's trajectory across the loaded entries."""
-
-    metric: str
-    points: int
-    first: float
-    last: float
-    #: Fractional change from the newest entry's predecessor; ``None``
-    #: when the metric appears in fewer than two entries or the older
-    #: value is zero (fractions of zero are meaningless, not infinite).
-    latest_change: Optional[float]
-    #: Fractional change across the whole window (first -> last).
-    overall_change: Optional[float]
-
-
-def _slo_fraction(old: float, new: float) -> Optional[float]:
-    return (new - old) / old if old > 0 else None
+    """Load the SLO ledger; foreign versions and kinds raise."""
+    return SLO_LEDGER.load(path)
 
 
 def summarize_slo_trend(
     entries: Sequence[Dict[str, Any]], *, last: Optional[int] = None
-) -> List[SLOTrend]:
-    """Per-metric first/last/delta summary over the (windowed) ledger.
-
-    ``last`` restricts the window to the newest N entries.  Metrics are
-    summarized independently because older ledger lines may predate a
-    metric (entries simply lacking the key are skipped for that metric).
-    """
-    if last is not None:
-        if last < 1:
-            raise ConfigurationError(f"last must be >= 1, got {last}")
-        entries = list(entries)[-last:]
-    trends: List[SLOTrend] = []
-    for metric in SLO_TREND_METRICS:
-        values = [
-            float(entry[metric]) for entry in entries if metric in entry
-        ]
-        if not values:
-            continue
-        trends.append(SLOTrend(
-            metric=metric,
-            points=len(values),
-            first=values[0],
-            last=values[-1],
-            latest_change=(
-                _slo_fraction(values[-2], values[-1]) if len(values) >= 2
-                else None
-            ),
-            overall_change=(
-                _slo_fraction(values[0], values[-1]) if len(values) >= 2
-                else None
-            ),
-        ))
-    return trends
+) -> List[Trend]:
+    """Per-metric summary, in :data:`SLO_TREND_METRICS` order."""
+    return SLO_LEDGER.summarize(entries, last=last)
 
 
 def render_slo_trend(
     entries: Sequence[Dict[str, Any]], *, last: Optional[int] = None
 ) -> str:
-    """Human-readable SLO trend table for terminal output."""
-    if not entries:
-        return ("SLO history is empty; run `repro loadtest --history` to "
-                "start the ledger")
-    trends = summarize_slo_trend(entries, last=last)
-    window = list(entries)[-last:] if last is not None else list(entries)
-    first_sha = str(window[0].get("git_sha", "unknown"))[:12]
-    last_sha = str(window[-1].get("git_sha", "unknown"))[:12]
-    lines = [
-        f"SLO trend over {len(window)} entr"
-        f"{'y' if len(window) == 1 else 'ies'} "
-        f"({first_sha} -> {last_sha})",
-        f"{'metric':<18} {'first':>12} {'last':>12} {'latest':>8} "
-        f"{'overall':>8}  points",
-    ]
-    for trend in trends:
-        latest = (f"{trend.latest_change:+.1%}"
-                  if trend.latest_change is not None else "-")
-        overall = (f"{trend.overall_change:+.1%}"
-                   if trend.overall_change is not None else "-")
-        lines.append(
-            f"{trend.metric:<18} {trend.first:>12.4f} "
-            f"{trend.last:>12.4f} {latest:>8} {overall:>8}  "
-            f"{trend.points}"
-        )
-    return "\n".join(lines)
+    """The SLO trend table."""
+    return SLO_LEDGER.render(entries, last=last)

@@ -51,6 +51,7 @@ from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Union
 
 from repro.errors import ConfigurationError
+from repro.jsonio import expect_versioned
 
 __all__ = [
     "PHASE_NAMES",
@@ -206,19 +207,9 @@ def tree_to_json(root: Span) -> Dict[str, Any]:
 
 def tree_from_json(data: Any) -> Span:
     """Parse one envelope back to its root span, rejecting foreign versions."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"span tree must be a JSON object, got {type(data).__name__}"
-        )
-    if data.get("v") != SPAN_SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported span tree version {data.get('v')!r}; this build "
-            f"reads version {SPAN_SCHEMA_VERSION}"
-        )
-    if data.get("kind") != _TREE_KIND:
-        raise ConfigurationError(
-            f"not a session span tree: kind={data.get('kind')!r}"
-        )
+    expect_versioned(
+        data, "span tree", SPAN_SCHEMA_VERSION, key="v", kind=_TREE_KIND
+    )
     root = Span.from_json(data["root"])
     if root.name != "session":
         raise ConfigurationError(

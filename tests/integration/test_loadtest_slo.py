@@ -159,6 +159,20 @@ class TestCommittedBaseline:
         with pytest.raises(ConfigurationError, match="version"):
             load_report(str(path))
 
+    def test_load_report_refuses_missing_and_corrupt_files(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot be read"):
+            load_report(str(tmp_path / "absent.json"))
+        corrupt = tmp_path / "corrupt.json"
+        corrupt.write_text('{"v": 1, "lat')
+        with pytest.raises(ConfigurationError, match="not valid JSON"):
+            load_report(str(corrupt))
+
+    def test_load_report_refuses_a_non_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigurationError, match="JSON object, got list"):
+            load_report(str(path))
+
 
 class TestSessionAccounting:
     def test_missing_responses_are_not_presumed_admitted(self):
@@ -310,7 +324,7 @@ class TestSLOTrend:
         entries = load_slo_history(path)
         assert len(entries) == 3
         trends = summarize_slo_trend(entries)
-        assert [t.metric for t in trends] == list(SLO_TREND_METRICS)
+        assert [t.name for t in trends] == list(SLO_TREND_METRICS)
         assert all(t.points == 3 for t in trends)
 
     def test_last_windows_the_ledger(self, tmp_path):

@@ -93,6 +93,18 @@ class TestCorpusIo:
         with pytest.raises(ConfigurationError, match="not JSON"):
             load_case(path)
 
+    def test_load_case_refuses_unreadable_paths(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot be read"):
+            load_case(tmp_path / "case-absent.json")
+        with pytest.raises(ConfigurationError, match="cannot be read"):
+            load_case(tmp_path)
+
+    def test_load_case_reads_utf8(self, tmp_path):
+        case = make_case(note="δ-late trial → ε")
+        path = tmp_path / "case-utf8.json"
+        path.write_bytes(case.canonical_bytes())
+        assert load_case(path) == case
+
 
 class TestReplay:
     def test_honest_case_does_not_reproduce(self):

@@ -80,6 +80,26 @@ class TestAppendAndLoad:
         with pytest.raises(ConfigurationError, match="unsupported bench"):
             load_history(path)
 
+    def test_foreign_ledger_kind_raises(self, tmp_path):
+        # An SLO history line has the same "v" but another kind; reading
+        # it as a bench entry would render an empty table.
+        path = tmp_path / "h.jsonl"
+        path.write_text(json.dumps({
+            "v": TREND_SCHEMA_VERSION, "kind": "repro-slo-history",
+            "p50": 0.1,
+        }) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="kind 'repro-slo-history'"):
+            load_history(path)
+
+    def test_cli_refuses_a_foreign_ledger(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "h.jsonl"
+        path.write_text('{"v":1,"kind":"repro-slo-history"}\n',
+                        encoding="utf-8")
+        assert main(["bench", "trend", "--history", str(path)]) == 2
+        assert "kind" in capsys.readouterr().err
+
 
 class TestSummarize:
     def entries(self):
@@ -93,8 +113,8 @@ class TestSummarize:
         trends = {t.name: t for t in summarize_trend(self.entries())}
         x = trends["x"]
         assert x.points == 3
-        assert x.first_steps_per_sec == 100.0
-        assert x.last_steps_per_sec == 55.0
+        assert x.first == 100.0
+        assert x.last == 55.0
         assert x.latest_change == pytest.approx(-0.5)
         assert x.overall_change == pytest.approx(-0.45)
         # y appears in only two entries; both deltas still compute.
@@ -107,7 +127,7 @@ class TestSummarize:
 
     def test_last_windows_the_ledger(self):
         trends = {t.name: t for t in summarize_trend(self.entries(), last=2)}
-        assert trends["x"].first_steps_per_sec == 110.0
+        assert trends["x"].first == 110.0
         assert trends["x"].points == 2
 
     def test_last_must_be_positive(self):
