@@ -14,7 +14,7 @@ for the recorded tables).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Sequence
 
 from repro.adoptcommit.collect_ac import CollectAdoptCommit

@@ -70,7 +70,6 @@ from repro.service.loadgen import PROFILES
 from repro.workloads.inputs import standard_input_gallery
 from repro.workloads.schedules import (
     ALL_SCHEDULE_FAMILIES,
-    SCHEDULE_FAMILIES,
     make_schedule,
 )
 from repro.workloads.search import SEARCH_STRATEGIES

@@ -28,7 +28,6 @@ from repro.fuzz.corpus import CorpusCase, save_case
 from repro.fuzz.scenario import (
     FuzzConfig,
     Scenario,
-    ScenarioOutcome,
     ViolationRecord,
     generate_scenario,
     run_scenario,

@@ -51,12 +51,14 @@ import platform
 import subprocess
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.jsonio import expect_versioned, load_json_file
 from repro.obs.metrics import MetricsHook, MetricsRegistry, merge_snapshots
+from repro.runtime.adaptive import AdaptiveAdversary, run_adaptive_programs
 from repro.runtime.operations import Read, Write
 from repro.runtime.rng import SeedTree
 from repro.runtime.simulator import run_programs
@@ -119,56 +121,16 @@ def _spin_program(ops: int):
     return program
 
 
-def _run_trials(
-    build: Callable[[SeedTree], Tuple[List[Any], List[Any]]],
+def _case_result(
     *,
-    n: int,
     trials: int,
-    seed: int,
-    hooks_factory: Optional[Callable[[], Tuple[List[Any], MetricsRegistry]]],
-    allow_partial: bool = False,
-    family: str = "random",
+    n: int,
+    total_steps: int,
+    latencies: Sequence[float],
+    metrics: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Shared measurement loop: per-trial latency, steps, metric snapshots.
-
-    ``build(seeds)`` returns ``(programs, inputs)`` for one trial; the
-    schedule is the ``family`` member built from the trial's ``"schedule"``
-    seed branch as usual.
-    """
-    latencies: List[float] = []
-    total_steps = 0
-    snapshots: List[Dict[str, Any]] = []
-    for trial in range(trials):
-        seeds = SeedTree(seed).child(f"bench-{trial}")
-        programs, inputs = build(seeds)
-        schedule = make_schedule(family, n, seeds.child("schedule"))
-        hooks: List[Any] = []
-        registry: Optional[MetricsRegistry] = None
-        if hooks_factory is not None:
-            hooks, registry = hooks_factory()
-        started = time.perf_counter()
-        result = run_programs(
-            programs,
-            schedule,
-            seeds,
-            inputs=inputs,
-            hooks=hooks,
-            allow_partial=allow_partial,
-        )
-        latencies.append(time.perf_counter() - started)
-        total_steps += result.total_steps
-        if registry is not None:
-            snapshots.append(registry.to_json())
+    """One case's report entry; a single timed call is one latency."""
     elapsed = sum(latencies)
-    merged = merge_snapshots(snapshots) if snapshots else None
-    metrics = merged.to_json() if merged is not None else None
-    if metrics is not None:
-        # The report's metrics blob is for reading, not re-aggregation:
-        # keep the exact moments, drop the decimated sample arrays so a
-        # committed baseline stays a small, reviewable diff.
-        for hist in metrics.get("histograms", {}).values():
-            hist.pop("samples", None)
-            hist.pop("stride", None)
     return {
         "trials": trials,
         "n": n,
@@ -179,6 +141,57 @@ def _run_trials(
         "latency_p95_s": _percentile(latencies, 0.95),
         "metrics": metrics,
     }
+
+
+def _run_trials(
+    build: Callable[[SeedTree], Tuple[List[Any], List[Any]]],
+    *,
+    n: int,
+    trials: int,
+    seed: int,
+    hooks_factory: Optional[Callable[[], Tuple[List[Any], MetricsRegistry]]],
+    family: str = "random",
+    adversary: Optional[Callable[[SeedTree], AdaptiveAdversary]] = None,
+) -> Dict[str, Any]:
+    """Shared measurement loop: per-trial latency, steps, metric snapshots.
+
+    ``build(seeds)`` returns ``(programs, inputs)`` for one trial.  The
+    trial runs under ``adversary(seeds)``, an adaptive adversary, when one
+    is given; otherwise under the ``family`` schedule built from the
+    trial's ``"schedule"`` seed branch as usual.
+    """
+    latencies: List[float] = []
+    total_steps = 0
+    snapshots: List[Dict[str, Any]] = []
+    for trial in range(trials):
+        seeds = SeedTree(seed).child(f"bench-{trial}")
+        programs, inputs = build(seeds)
+        if adversary is None:
+            schedule = make_schedule(family, n, seeds.child("schedule"))
+            run = partial(run_programs, programs, schedule)
+        else:
+            run = partial(run_adaptive_programs, programs, adversary(seeds))
+        hooks: List[Any] = []
+        registry: Optional[MetricsRegistry] = None
+        if hooks_factory is not None:
+            hooks, registry = hooks_factory()
+        started = time.perf_counter()
+        result = run(seeds, inputs=inputs, hooks=hooks)
+        latencies.append(time.perf_counter() - started)
+        total_steps += result.total_steps
+        if registry is not None:
+            snapshots.append(registry.to_json())
+    merged = merge_snapshots(snapshots) if snapshots else None
+    metrics = merged.to_json() if merged is not None else None
+    if metrics is not None:
+        # The report's metrics blob is for reading, not re-aggregation:
+        # keep the exact moments, drop the decimated sample arrays so a
+        # committed baseline stays a small, reviewable diff.
+        for hist in metrics.get("histograms", {}).values():
+            hist.pop("samples", None)
+            hist.pop("stride", None)
+    return _case_result(trials=trials, n=n, total_steps=total_steps,
+                        latencies=latencies, metrics=metrics)
 
 
 def _metrics_hooks() -> Tuple[List[Any], MetricsRegistry]:
@@ -244,48 +257,23 @@ def _case_late_adversary_sifting(sizing: _Sizing, seed: int) -> Dict[str, Any]:
     from dataclasses import replace
 
     from repro.core.sifting_conciliator import SiftingConciliator
-    from repro.runtime.adaptive import run_adaptive_programs
     from repro.runtime.adversary import AdversarySpec
 
     spec = AdversarySpec("late", inner="pending-reads", delay=1)
-    latencies: List[float] = []
-    total_steps = 0
-    snapshots: List[Dict[str, Any]] = []
-    for trial in range(sizing.trials):
-        seeds = SeedTree(seed).child(f"bench-{trial}")
+
+    def build(seeds: SeedTree):
         conciliator = SiftingConciliator(sizing.n)
-        adversary = replace(
+        return [conciliator.program] * sizing.n, list(range(sizing.n))
+
+    def adversary(seeds: SeedTree):
+        return replace(
             spec, seed=seeds.child("adversary").rng().randrange(2**32)
         ).build()
-        hooks, registry = _metrics_hooks()
-        started = time.perf_counter()
-        result = run_adaptive_programs(
-            [conciliator.program] * sizing.n,
-            adversary,
-            seeds,
-            inputs=list(range(sizing.n)),
-            hooks=hooks,
-        )
-        latencies.append(time.perf_counter() - started)
-        total_steps += result.total_steps
-        snapshots.append(registry.to_json())
-    elapsed = sum(latencies)
-    merged = merge_snapshots(snapshots) if snapshots else None
-    metrics = merged.to_json() if merged is not None else None
-    if metrics is not None:
-        for hist in metrics.get("histograms", {}).values():
-            hist.pop("samples", None)
-            hist.pop("stride", None)
-    return {
-        "trials": sizing.trials,
-        "n": sizing.n,
-        "total_steps": total_steps,
-        "elapsed_seconds": elapsed,
-        "steps_per_sec": total_steps / elapsed if elapsed > 0 else 0.0,
-        "latency_p50_s": _percentile(latencies, 0.50),
-        "latency_p95_s": _percentile(latencies, 0.95),
-        "metrics": metrics,
-    }
+
+    return _run_trials(
+        build, n=sizing.n, trials=sizing.trials, seed=seed,
+        hooks_factory=_metrics_hooks, adversary=adversary,
+    )
 
 
 def _case_sparse_sifting_large(sizing: _Sizing, seed: int) -> Dict[str, Any]:
@@ -330,16 +318,8 @@ def _case_streaming_schedule(sizing: _Sizing, seed: int) -> Dict[str, Any]:
         checksum += schedule.pid_at(step)
     elapsed = time.perf_counter() - started
     assert 0 <= checksum < slots * sizing.n
-    return {
-        "trials": 1,
-        "n": sizing.n,
-        "total_steps": slots,
-        "elapsed_seconds": elapsed,
-        "steps_per_sec": slots / elapsed if elapsed > 0 else 0.0,
-        "latency_p50_s": elapsed,
-        "latency_p95_s": elapsed,
-        "metrics": None,
-    }
+    return _case_result(trials=1, n=sizing.n, total_steps=slots,
+                        latencies=[elapsed])
 
 
 def _numpy_available() -> bool:
@@ -384,17 +364,9 @@ def _vectorized_case(algorithm: str, family: str):
             workers=1,
         )
         elapsed = time.perf_counter() - started
-        total_steps = int(sum(sweep.total_steps))
-        return {
-            "trials": sizing.trials,
-            "n": sizing.n,
-            "total_steps": total_steps,
-            "elapsed_seconds": elapsed,
-            "steps_per_sec": total_steps / elapsed if elapsed > 0 else 0.0,
-            "latency_p50_s": elapsed,
-            "latency_p95_s": elapsed,
-            "metrics": None,
-        }
+        return _case_result(trials=sizing.trials, n=sizing.n,
+                            total_steps=int(sum(sweep.total_steps)),
+                            latencies=[elapsed])
 
     return case
 

@@ -8,7 +8,7 @@ It converts each into a versioned :class:`~repro.obs.events.TraceEventRecord`.
 
 Cost model:
 
-- **Not attached** (the default): zero cost.  The step loops call each
+- **Not attached** (the default): zero cost.  The step loop calls each
   hook callback only on the hooks that override it, so a run without
   observers executes no tracing code whatsoever, and an attached recorder
   costs only the callbacks it overrides (it has no ``before_step`` or

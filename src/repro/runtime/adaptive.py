@@ -31,29 +31,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
-from repro.errors import (
-    ConfigurationError,
-    ScheduleExhaustedError,
-    SimulationError,
-    StepLimitExceededError,
-)
+from repro.errors import ConfigurationError, SimulationError
 from repro.jsonio import expect_versioned
-from repro.runtime.faults import (
-    CRASH,
-    HOOK_STAGES,
-    SKIP,
-    InterceptedResult,
-    StepHook,
-    _note_hook_failure,
-    hook_methods,
-)
+from repro.runtime.faults import StepHook
 from repro.runtime.operations import Operation
-from repro.runtime.process import Process, ProcessContext, Program
+from repro.runtime.process import Process, Program
 from repro.runtime.results import RunResult
 from repro.runtime.rng import SeedTree
-from repro.runtime.trace import TraceEvent, TraceRecorder
+from repro.runtime.simulator import Simulator, _build_processes
 
 __all__ = [
     "ADAPTIVE_FAMILIES",
@@ -74,10 +61,10 @@ class AdversaryView:
     """Read-only view of execution state offered to an adaptive adversary.
 
     ``live`` maps every runnable pid (unfinished and not crashed) to its
-    process, in ascending pid order.  The runner owns that dict and deletes
-    a process from it the moment it finishes or crashes, so the view never
-    scans or sorts: :meth:`unfinished` is a copy of its keys.  The
-    per-process queries take a runnable pid.
+    process, in ascending pid order.  It is the simulator's own dict, which
+    its step loop shrinks the moment a process finishes or crashes, so the
+    view never scans or sorts: :meth:`unfinished` is a copy of its keys.
+    The per-process queries take a runnable pid.
     """
 
     __slots__ = ("_live", "_steps")
@@ -106,24 +93,6 @@ class AdversaryView:
 
     def steps_taken(self, pid: int) -> int:
         return self._steps[pid]
-
-
-class _AdaptiveRun:
-    """What ``StepHook.on_run_start`` reads of an adaptive run.
-
-    Oblivious runs pass their :class:`~repro.runtime.simulator.Simulator`;
-    an adaptive run has none, so it passes this stand-in with the same
-    attributes hooks use: the process count ``n``, the ``step_limit``, and
-    ``_unfinished``, the live pid-to-process dict the runner shrinks as
-    processes finish or crash (the metrics hook samples its length).
-    """
-
-    __slots__ = ("n", "step_limit", "_unfinished")
-
-    def __init__(self, n: int, step_limit: int, live: Dict[int, Process]):
-        self.n = n
-        self.step_limit = step_limit
-        self._unfinished = live
 
 
 class AdaptiveAdversary:
@@ -322,6 +291,40 @@ class AdaptiveSpec:
         return cls(name=str(data["name"]), seed=int(data.get("seed", 0)))
 
 
+class _Picks:
+    """The pids an adaptive run's :class:`Simulator` steps, in place of a
+    schedule.
+
+    Each pid is the adversary's choice over an :class:`AdversaryView` of the
+    simulator's own live-process and step-count dicts (bound to ``view``
+    once the simulator exists), so every pick sees the state the loop left.
+    The picks stop when no process is live; naming one that is not --
+    finished, crashed or no such pid -- is an error, not a free slot.  This
+    is deliberately not a :class:`~repro.runtime.scheduler.Schedule`: the
+    benchmark's per-layer ledger times schedule slots and adversary picks
+    as separate layers.
+    """
+
+    __slots__ = ("n", "choose", "view")
+    view: AdversaryView
+
+    def __init__(self, n: int, adversary: AdaptiveAdversary):
+        self.n = n
+        self.choose = adversary.choose
+
+    def __iter__(self) -> Iterator[int]:
+        view = self.view
+        live = view._live
+        choose = self.choose
+        while live:
+            pid = choose(view)
+            if pid not in live:
+                raise SimulationError(
+                    f"adaptive adversary chose unrunnable process {pid}"
+                )
+            yield pid
+
+
 def run_adaptive_programs(
     programs: Sequence[Program],
     adversary: AdaptiveAdversary,
@@ -335,191 +338,33 @@ def run_adaptive_programs(
 ) -> RunResult:
     """Execute programs under an adaptive adversary.
 
-    The loop mirrors :class:`repro.runtime.simulator.Simulator` but asks the
-    adversary for the next pid at every step instead of consuming a fixed
-    schedule.  The runnable processes sit in one pid-ordered dict, shared
-    with the :class:`AdversaryView` the adversary reads; a process leaves
-    it when it finishes or crashes, and the run ends when it is empty
-    (subject to ``step_limit``).  A pick outside that dict -- finished,
-    crashed or no such pid -- raises :class:`~repro.errors.SimulationError`.
+    The run goes through :class:`~repro.runtime.simulator.Simulator` and its
+    one step loop, which asks the adversary for the next pid at every step
+    instead of consuming a fixed schedule.  The adversary reads the
+    simulator's live processes through an :class:`AdversaryView`; a process
+    leaves the view when it finishes or crashes, and the run ends when none
+    is left (subject to ``step_limit``).  A pick outside the view --
+    finished, crashed or no such pid -- raises
+    :class:`~repro.errors.SimulationError`.
 
-    ``hooks`` attaches the same :class:`~repro.runtime.faults.StepHook`
-    instances the oblivious simulator takes — fault injectors may crash a
-    process (it disappears from the adversary's view) or withhold slots
-    (``on_skip`` is emitted for each), and invariant monitors observe every
-    charged step, so the full monitor suite rides along adaptive runs too.
-    As in the simulator, each callback is called only on the hooks that
-    override it.  ``on_run_start`` is emitted once, before the processes
-    start; adaptive runs have no
-    :class:`~repro.runtime.simulator.Simulator`, so it receives a stand-in
-    carrying ``n``, ``step_limit`` and the live processes.
-    ``skip_guard`` bounds consecutive withheld slots (at least 1;
-    default ``max(10_000, 1_000 * n)``) — an adversary that keeps naming a
-    stalled process would otherwise spin forever.
-
-    The loop must keep reaching the other layers through
-    ``adversary.choose``, ``SharedObject.apply`` and
-    ``Process.start``/``complete_step``: the benchmark's per-layer ledger
-    times the adversary, memory and process layers at those seams.
+    ``hooks`` are the same :class:`~repro.runtime.faults.StepHook` instances
+    oblivious runs take, dispatched by the same loop: fault injectors may
+    crash a process (it disappears from the adversary's view) or withhold
+    slots, and invariant monitors observe every charged step.
+    ``skip_guard`` bounds consecutive withheld slots (at least 1; default
+    ``max(10_000, 1_000 * n)``) -- an adversary that keeps naming a stalled
+    process would otherwise spin forever.
     """
-    n = len(programs)
-    if inputs is not None and len(inputs) != n:
-        raise SimulationError(
-            f"got {len(inputs)} inputs for {n} programs; they must match"
-        )
-    if skip_guard is not None and skip_guard < 1:
-        raise SimulationError(f"skip_guard must be >= 1, got {skip_guard}")
-    algorithm_seeds = seeds.child("algorithm")
-    processes: Dict[int, Process] = {}
-    for pid, program in enumerate(programs):
-        context = ProcessContext(
-            pid=pid,
-            n=n,
-            rng=algorithm_seeds.child(f"process-{pid}").rng(),
-            input_value=None if inputs is None else inputs[pid],
-        )
-        processes[pid] = Process(context, program)
-
-    steps: Dict[int, int] = {pid: 0 for pid in processes}
-    trace = TraceRecorder() if record_trace else None
-    crashed: Set[int] = set()
-    guard = skip_guard if skip_guard is not None else max(10_000, 1_000 * n)
-    hooks = list(hooks)
-    methods = {stage: hook_methods(hooks, stage) for stage in HOOK_STAGES}
-    before_step = methods["before_step"]
-    intercept = methods["intercept"]
-    after_step = methods["after_step"]
-    on_finish = methods["on_finish"]
-
-    def emit(stage: str, *args: Any, pid: Optional[int] = None,
-             step: Optional[int] = None) -> None:
-        for method in methods[stage]:
-            try:
-                method(*args)
-            except BaseException as error:
-                _note_hook_failure(error, hooks, method, stage,
-                                   pid=pid, global_step=step)
-                raise
-
-    live = dict(processes)
-    emit("on_run_start", _AdaptiveRun(n, step_limit, live))
-    for process in processes.values():
-        process.start()
-        if process.finished:
-            del live[process.pid]
-            emit("on_finish", process.pid, process.output, pid=process.pid)
-
-    view = AdversaryView(live, steps)
-    choose = adversary.choose
-    find_live = live.get
-    step_index = 0
-    consecutive_skips = 0
-    while live:
-        pid = choose(view)
-        process = find_live(pid)
-        if process is None:
-            raise SimulationError(
-                f"adaptive adversary chose unrunnable process {pid}"
-            )
-        operation = process.pending_operation
-        if before_step:
-            # Crash wins over skip over execute; a crash ends the
-            # consultation.
-            action: Optional[str] = None
-            process_steps = steps[pid]
-            for method in before_step:
-                try:
-                    decision = method(pid, process_steps, step_index, operation)
-                except BaseException as error:
-                    _note_hook_failure(error, hooks, method, "before_step",
-                                       pid=pid, global_step=step_index)
-                    raise
-                if decision == CRASH:
-                    action = CRASH
-                    break
-                if decision == SKIP:
-                    action = SKIP
-            if action == CRASH:
-                crashed.add(pid)
-                del live[pid]
-                emit("on_crash", pid, steps[pid], pid=pid)
-                continue
-            if action == SKIP:
-                emit("on_skip", pid, step_index, pid=pid, step=step_index)
-                consecutive_skips += 1
-                if consecutive_skips >= guard:
-                    raise ScheduleExhaustedError(
-                        f"adaptive run appears starved: {guard} consecutive "
-                        "slots were withheld by fault injection",
-                        unfinished_pids=list(live),
-                        steps_by_pid=steps,
-                    )
-                continue
-            consecutive_skips = 0
-        # The first hook to return a replacement result wins.  Each hook
-        # list is tested before it is looped over: on the unhooked path the
-        # test is cheaper than an empty loop.
-        intercepted: Optional[InterceptedResult] = None
-        if intercept:
-            for method in intercept:
-                try:
-                    intercepted = method(pid, operation)
-                except BaseException as error:
-                    _note_hook_failure(error, hooks, method, "intercept",
-                                       pid=pid, global_step=step_index)
-                    raise
-                if intercepted is not None:
-                    break
-        if intercepted is None:
-            result = operation.obj.apply(operation, pid)
-        else:
-            result = intercepted.value
-        steps[pid] += 1
-        if trace is not None:
-            trace.record(
-                TraceEvent(
-                    step=step_index,
-                    pid=pid,
-                    kind=operation.kind,
-                    obj_name=operation.obj.name,
-                    value=getattr(operation, "value", None),
-                    result=result,
-                )
-            )
-        if after_step:
-            for method in after_step:
-                try:
-                    method(pid, step_index, operation, result)
-                except BaseException as error:
-                    _note_hook_failure(error, hooks, method, "after_step",
-                                       pid=pid, global_step=step_index)
-                    raise
-        process.complete_step(result)
-        if process.finished:
-            del live[pid]
-            if on_finish:
-                emit("on_finish", pid, process.output,
-                     pid=pid, step=step_index)
-        step_index += 1
-        if step_index > step_limit:
-            raise StepLimitExceededError(
-                f"adaptive run exceeded step limit {step_limit}",
-                unfinished_pids=list(live),
-                steps_by_pid=steps,
-            )
-
-    outputs = {
-        pid: process.output
-        for pid, process in processes.items()
-        if process.finished
-    }
-    result = RunResult(
-        n=n,
-        outputs=outputs,
-        steps_by_pid=dict(steps),
-        completed=not crashed and len(outputs) == n,
-        trace=trace,
-        crashed=frozenset(crashed),
+    processes = _build_processes(programs, seeds, inputs)
+    n = len(processes)
+    picks = _Picks(n, adversary)
+    simulator = Simulator(
+        processes,
+        picks,  # type: ignore[arg-type]
+        record_trace=record_trace,
+        step_limit=step_limit,
+        hooks=hooks,
+        skip_guard=max(10_000, 1_000 * n) if skip_guard is None else skip_guard,
     )
-    emit("on_run_end", result)
-    return result
+    picks.view = AdversaryView(simulator._unfinished, simulator._steps_by_pid)
+    return simulator.run()

@@ -80,7 +80,7 @@ class StepHook:
 
     Fault injectors and invariant monitors both subclass this.  All methods
     are no-ops by default, and overriding a method is how a hook subscribes
-    to it: at run start the step loops keep, per callback, only the hooks
+    to it: at run start the step loop keeps, per callback, only the hooks
     whose method is not the default here (see :func:`hook_methods`), so a
     hook pays for the callbacks it overrides and nothing else.  Hooks
     must not touch shared objects directly: they observe operations and

@@ -6,7 +6,9 @@ schedule and lets that process execute exactly one atomic operation.  The
 loop ends when every process has finished; slots for finished processes are
 skipped for free, exactly as the model specifies ("once a process has
 finished its protocol, any steps allocated to it become no-ops; these no-ops
-are not included when computing the complexity").
+are not included when computing the complexity").  Adaptive adversaries
+(:mod:`repro.runtime.adaptive`) run through the same loop: their picks take
+the schedule's place.
 
 Determinism: a run is a pure function of (programs, inputs, schedule, seed
 tree), so every experiment in the repository can be reproduced from a single
@@ -58,7 +60,9 @@ class Simulator:
         processes: the participating processes (pids must be 0..n-1, unique).
         schedule: the adversary's schedule.  Must be independent of the
             processes' randomness; using :class:`~repro.runtime.rng.SeedTree`
-            branches for both makes this structural.
+            branches for both makes this structural.  An adaptive run
+            passes the adversary's picks instead
+            (:func:`~repro.runtime.adaptive.run_adaptive_programs`).
         record_trace: if True, record every executed operation in a
             :class:`~repro.runtime.trace.TraceRecorder` (costs memory).
         step_limit: safety valve; a run exceeding this many charged steps
@@ -352,6 +356,33 @@ class Simulator:
         self._emit("on_crash", pid, self._steps_by_pid[pid], pid=pid)
 
 
+def _build_processes(
+    programs: Sequence[Program],
+    seeds: SeedTree,
+    inputs: Optional[Sequence[Any]],
+) -> List[Process]:
+    """One process per program, each with a private RNG from the
+    ``"algorithm"`` branch of ``seeds`` and its input, if any."""
+    n = len(programs)
+    if inputs is not None and len(inputs) != n:
+        raise SimulationError(
+            f"got {len(inputs)} inputs for {n} programs; they must match"
+        )
+    algorithm_seeds = seeds.child("algorithm")
+    return [
+        Process(
+            ProcessContext(
+                pid=pid,
+                n=n,
+                rng=algorithm_seeds.child(f"process-{pid}").rng(),
+                input_value=None if inputs is None else inputs[pid],
+            ),
+            program,
+        )
+        for pid, program in enumerate(programs)
+    ]
+
+
 def run_programs(
     programs: Sequence[Program],
     schedule: Schedule,
@@ -381,23 +412,8 @@ def run_programs(
         metrics: optional metrics registry populated during the run and
             surfaced on ``RunResult.metrics`` (see :class:`Simulator`).
     """
-    n = len(programs)
-    if inputs is not None and len(inputs) != n:
-        raise SimulationError(
-            f"got {len(inputs)} inputs for {n} programs; they must match"
-        )
-    algorithm_seeds = seeds.child("algorithm")
-    processes = []
-    for pid, program in enumerate(programs):
-        context = ProcessContext(
-            pid=pid,
-            n=n,
-            rng=algorithm_seeds.child(f"process-{pid}").rng(),
-            input_value=None if inputs is None else inputs[pid],
-        )
-        processes.append(Process(context, program))
     simulator = Simulator(
-        processes,
+        _build_processes(programs, seeds, inputs),
         schedule,
         record_trace=record_trace,
         step_limit=step_limit,

@@ -1,8 +1,8 @@
-"""Per-callback hook dispatch, in the oblivious and the adaptive step loop.
+"""Per-callback hook dispatch, under the oblivious and the adaptive runner.
 
 A hook subscribes to a :class:`StepHook` callback by overriding it: at run
-start both loops keep, per callback, only the hooks whose method is not the
-no-op default.  These tests pin which methods are called, that timing
+start the step loop both runners share keeps, per callback, only the hooks
+whose method is not the no-op default.  These tests pin which methods are called, that timing
 wrappers (``__wrapped__``) do not count as overrides, that instance
 attributes and duck-typed hooks do, and that pruning keeps the decision
 precedence and the failure notes of the unpruned dispatch.
