@@ -85,12 +85,7 @@ class Persona:
             while draw >= priority_range:
                 draw = getrandbits(bits)
             priorities.append(draw + 1)
-        return Persona(
-            value=value,
-            origin=origin,
-            priorities=tuple(priorities),
-            coin=rng.randrange(2),
-        )
+        return Persona(value, origin, tuple(priorities), (), _draw_coin(rng))
 
     @staticmethod
     def for_sifting(
@@ -110,12 +105,7 @@ class Persona:
         check_write_probabilities(write_probabilities)
         draw = rng.random
         bits = tuple([draw() < p for p in write_probabilities])
-        return Persona(
-            value=value,
-            origin=origin,
-            write_bits=bits,
-            coin=rng.randrange(2),
-        )
+        return Persona(value, origin, (), bits, _draw_coin(rng))
 
     def priority(self, round_index: int) -> int:
         """This persona's priority in round ``round_index`` (0-based)."""
@@ -135,6 +125,17 @@ def check_priority_range(priority_range: int) -> None:
         raise ConfigurationError(
             f"priority_range must be >= 1, got {priority_range}"
         )
+
+
+def _draw_coin(rng: random.Random) -> int:
+    """``rng.randrange(2)``'s own rejection loop, inlined: draw two bits
+    until the value is below 2.  Bit-identical to ``randrange(2)`` (a unit
+    test pins it)."""
+    getrandbits = rng.getrandbits
+    coin = getrandbits(2)
+    while coin >= 2:
+        coin = getrandbits(2)
+    return coin
 
 
 def check_write_probabilities(write_probabilities: Iterable[float]) -> None:

@@ -18,7 +18,8 @@ probability ``1 - eps`` (Theorem 2).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Sequence
+import functools
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.conciliator import Conciliator
 from repro.core.persona import Persona, check_write_probabilities
@@ -30,6 +31,16 @@ from repro.runtime.operations import Operation, Read, Write
 from repro.runtime.process import ProcessContext
 
 __all__ = ["SiftingConciliator"]
+
+# A sweep or a service builds one conciliator per trial with the same
+# parameters; the round count and the tuned write probabilities (always
+# in [0, 1]) are computed once per ``(n, epsilon)`` and ``(n, rounds)``.
+_rounds = functools.lru_cache(maxsize=256)(sifting_rounds)
+
+
+@functools.lru_cache(maxsize=256)
+def _p_schedule(n: int, rounds: int) -> Tuple[float, ...]:
+    return tuple(sift_p_schedule(n, rounds))
 
 
 class SiftingConciliator(Conciliator):
@@ -61,11 +72,11 @@ class SiftingConciliator(Conciliator):
     ):
         super().__init__(n, name)
         self.epsilon = epsilon
-        self.rounds = rounds if rounds is not None else sifting_rounds(n, epsilon)
+        self.rounds = rounds if rounds is not None else _rounds(n, epsilon)
         if self.rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
         if p_schedule is None:
-            self.p_schedule: List[float] = sift_p_schedule(n, self.rounds)
+            self.p_schedule: List[float] = list(_p_schedule(n, self.rounds))
         else:
             if len(p_schedule) != self.rounds:
                 raise ConfigurationError(
@@ -73,7 +84,7 @@ class SiftingConciliator(Conciliator):
                     f"{self.rounds} rounds"
                 )
             self.p_schedule = list(p_schedule)
-        check_write_probabilities(self.p_schedule)
+            check_write_probabilities(self.p_schedule)
         self.anonymous = anonymous
         self.registers = RegisterArray(f"{name}.r")
         self._reads: Dict[int, Read] = {}

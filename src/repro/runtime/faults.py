@@ -171,8 +171,10 @@ def hook_methods(hooks: Sequence[Any], stage: str) -> List[Callable[..., Any]]:
     unwrapped through ``__wrapped__`` first: a timing wrapper around an
     inherited default is still the default.
     """
-    default = _unwrapped(getattr(StepHook, stage))
     methods: List[Callable[..., Any]] = []
+    if not hooks:
+        return methods
+    default = _unwrapped(getattr(StepHook, stage))
     for hook in hooks:
         method = getattr(hook, stage, None)
         if (method is not None

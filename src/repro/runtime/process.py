@@ -94,7 +94,7 @@ class Process:
 
     def start(self) -> None:
         """Prime the program up to its first operation request."""
-        if self.started:
+        if self._generator is not None or self.finished:
             raise SimulationError(f"process {self.pid} started twice")
         generator = self._program(self.context)
         try:

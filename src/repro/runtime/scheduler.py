@@ -66,6 +66,27 @@ def _check_n(n: int) -> int:
     return n
 
 
+def _shuffled_passes(seed: int, items: List[int]) -> Iterator[int]:
+    """Endless passes over ``items``, each after a fresh in-place shuffle.
+
+    ``Random.shuffle``'s Fisher-Yates loop with its ``_randbelow``
+    rejection loop inlined: position ``i`` swaps with a draw of
+    ``(i + 1).bit_length()`` bits, redrawn until it is at most ``i``.  The
+    stream is bit-identical to calling ``shuffle`` once per pass (a unit
+    test pins it).  A pass is yielded straight from ``items``: the next
+    shuffle starts only after the whole pass has been consumed.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    draws = [(i, (i + 1).bit_length()) for i in reversed(range(1, len(items)))]
+    while True:
+        for i, bits in draws:
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            items[i], items[j] = items[j], items[i]
+        yield from items
+
+
 class Schedule:
     """Base class: an iterable of process ids fixed in advance.
 
@@ -189,11 +210,7 @@ class PermutedRoundRobinSchedule(Schedule):
         self.seed = seed
 
     def __iter__(self) -> Iterator[int]:
-        rng = random.Random(self.seed)
-        pids = list(range(self.n))
-        while True:
-            rng.shuffle(pids)
-            yield from list(pids)
+        return _shuffled_passes(self.seed, list(range(self.n)))
 
 
 class InterleavedLockstepSchedule(Schedule):
@@ -213,11 +230,9 @@ class InterleavedLockstepSchedule(Schedule):
         self.seed = seed
 
     def __iter__(self) -> Iterator[int]:
-        rng = random.Random(self.seed)
-        window = [pid for pid in range(self.n) for _ in range(2)]
-        while True:
-            rng.shuffle(window)
-            yield from list(window)
+        return _shuffled_passes(
+            self.seed, [pid for pid in range(self.n) for _ in range(2)]
+        )
 
 
 class RandomSchedule(Schedule):

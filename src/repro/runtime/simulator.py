@@ -368,15 +368,12 @@ def _build_processes(
         raise SimulationError(
             f"got {len(inputs)} inputs for {n} programs; they must match"
         )
-    algorithm_seeds = seeds.child("algorithm")
+    child = seeds.child("algorithm").child
+    if inputs is None:
+        inputs = [None] * n
     return [
         Process(
-            ProcessContext(
-                pid=pid,
-                n=n,
-                rng=algorithm_seeds.child(f"process-{pid}").rng(),
-                input_value=None if inputs is None else inputs[pid],
-            ),
+            ProcessContext(pid, n, child(f"process-{pid}").rng(), inputs[pid]),
             program,
         )
         for pid, program in enumerate(programs)

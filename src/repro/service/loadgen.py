@@ -38,6 +38,7 @@ from repro.service.session import SessionRequest, SessionResponse
 from repro.service.spans import Span
 from repro.service.vtime import run_virtual
 from repro.service.workers import ALGORITHMS
+from repro.workloads.schedules import ALL_SCHEDULE_FAMILIES
 
 __all__ = [
     "ArrivalProfile",
@@ -160,6 +161,7 @@ class LoadtestResult:
     duration: float
     service_snapshot: Dict[str, Any]
     metrics: MetricsRegistry
+    #: Sessions left without a response because ``submit`` raised.
     unexpected_errors: int
     config: ServiceConfig
     #: One span tree per session, in completion order (None only for
@@ -182,6 +184,11 @@ def _draw_arrivals(
         raise ConfigurationError(
             f"unknown algorithm {algorithm!r}; "
             f"choose from {tuple(sorted(ALGORITHMS))}"
+        )
+    if schedule_family not in ALL_SCHEDULE_FAMILIES:
+        raise ConfigurationError(
+            f"unknown schedule family {schedule_family!r}; "
+            f"choose from {ALL_SCHEDULE_FAMILIES}"
         )
     rng = random.Random(derive_seed(seed, "loadgen", profile.name))
     arrivals: List[_Arrival] = []
@@ -219,16 +226,25 @@ def _draw_arrivals(
 async def _drive(
     arrivals: List[_Arrival],
     service: ConsensusService,
-) -> Tuple[List[Optional[SessionResponse]], int]:
-    """Replay the arrival table against ``service`` on the current loop."""
+) -> List[Optional[SessionResponse]]:
+    """Replay the arrival table against ``service`` on the current loop.
+
+    One timer is pending for the arrivals at any time: the callback for
+    arrival ``k`` starts that session's task and schedules arrival
+    ``k + 1``.  A session whose ``submit`` raises keeps a ``None``
+    response slot, so every broken session is counted once.
+    """
     loop = asyncio.get_running_loop()
     start = loop.time()
     responses: List[Optional[SessionResponse]] = [None] * len(arrivals)
-    errors = 0
+    # The loop holds tasks weakly: this keeps each session's task alive
+    # until it finishes, and no longer.
+    running: Dict[int, "asyncio.Task[None]"] = {}
+    unfinished = len(arrivals)
+    finished = loop.create_future()
 
     async def one(index: int, arrival: _Arrival) -> None:
-        nonlocal errors
-        await asyncio.sleep(max(0.0, start + arrival.at - loop.time()))
+        nonlocal unfinished
         drop_at = (
             None
             if arrival.drop_after is None
@@ -242,13 +258,27 @@ async def _drive(
             )
         except Exception:
             # Anything escaping submit() is a service bug; the SLO gate in
-            # CI requires this count to be zero.
-            errors += 1
+            # CI requires the count of sessions left without a response
+            # to be zero.
+            pass
+        finally:
+            del running[index]
+            unfinished -= 1
+            if not unfinished:
+                finished.set_result(None)
 
-    await asyncio.gather(*(
-        one(index, arrival) for index, arrival in enumerate(arrivals)
-    ))
-    return responses, errors
+    def spawn(index: int) -> None:
+        running[index] = loop.create_task(one(index, arrivals[index]))
+        index += 1
+        if index < len(arrivals):
+            loop.call_at(start + arrivals[index].at, spawn, index)
+
+    loop.call_at(start + arrivals[0].at, spawn, 0)
+    await finished
+    # ``spawn`` refers to itself through its closure; dropping the name
+    # breaks that cycle, so what it holds is freed when this returns.
+    del spawn
+    return responses
 
 
 def run_loadtest(
@@ -286,22 +316,21 @@ def run_loadtest(
     )
 
     async def main() -> Tuple[
-        List[Optional[SessionResponse]], int, Dict[str, Any], float,
+        List[Optional[SessionResponse]], Dict[str, Any], float,
         MetricsRegistry, List[Span],
     ]:
         loop = asyncio.get_running_loop()
         metrics = MetricsRegistry()
         service = ConsensusService(resolved, metrics=metrics, chaos=chaos)
         start = loop.time()
-        responses, errors = await _drive(arrivals, service)
+        responses = await _drive(arrivals, service)
         end = loop.time()
         return (
-            responses, errors, service.snapshot(end), end - start, metrics,
+            responses, service.snapshot(end), end - start, metrics,
             service.spans.trees,
         )
 
-    responses, errors, snapshot, duration, metrics, spans = \
-        run_virtual(main())
+    responses, snapshot, duration, metrics, spans = run_virtual(main())
     missing = sum(1 for response in responses if response is None)
     return LoadtestResult(
         profile=profile,
@@ -311,7 +340,7 @@ def run_loadtest(
         duration=duration,
         service_snapshot=snapshot,
         metrics=metrics,
-        unexpected_errors=errors + missing,
+        unexpected_errors=missing,
         config=resolved,
         spans=spans,
     )

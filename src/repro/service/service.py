@@ -52,6 +52,7 @@ over these trees (:attr:`ConsensusService.calls`).
 from __future__ import annotations
 
 import asyncio
+import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -444,9 +445,8 @@ class ConsensusService:
         root: Span,
     ) -> SessionResponse:
         loop = asyncio.get_running_loop()
-        jitter = BackoffPolicy.rng(
-            self.config.seed, "service", str(request.session_id)
-        )
+        # Seeded on the first retry: most sessions never back off.
+        jitter: Optional[random.Random] = None
         degraded_session = False
         # ``cursor`` tracks the last phase boundary.  Each boundary is
         # read from the clock exactly once and shared between the span it
@@ -599,6 +599,11 @@ class ConsensusService:
                     shard.workers.release()
                 attempt_span.end = cursor
                 if not ok and attempt + 1 < self.config.max_attempts:
+                    if jitter is None:
+                        jitter = BackoffPolicy.rng(
+                            self.config.seed, "service",
+                            str(request.session_id),
+                        )
                     delay = self.config.backoff.delay(attempt, jitter)
                     remaining = deadline_at - cursor
                     if remaining <= 0:

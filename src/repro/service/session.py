@@ -26,6 +26,7 @@ same words.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -76,7 +77,8 @@ class SessionRequest:
         n: number of simulated processes (also the input width).
         schedule_family: oblivious adversary family for the round.
         deadline: total budget for the session in service-clock seconds,
-            covering queueing, all retry attempts, and backoff.
+            covering queueing, all retry attempts, and backoff; must be
+            finite and > 0.
         seed: master seed for the round; with ``session_id`` it makes the
             simulated execution a pure function of the request.
     """
@@ -95,9 +97,12 @@ class SessionRequest:
             )
         if self.n < 2:
             raise ConfigurationError(f"n must be >= 2, got {self.n}")
-        if self.deadline <= 0:
+        # NaN fails every comparison, so ``deadline <= 0`` alone lets it
+        # through; an infinite deadline would serialize as ``Infinity``,
+        # which strict JSON parsers reject.
+        if not (math.isfinite(self.deadline) and self.deadline > 0):
             raise ConfigurationError(
-                f"deadline must be > 0, got {self.deadline}"
+                f"deadline must be finite and > 0, got {self.deadline}"
             )
 
     def to_json(self) -> Dict[str, Any]:

@@ -231,9 +231,14 @@ def attribute_phases(root: Span, latency: float) -> Dict[str, float]:
     ``phase_sum(result) == latency`` *exactly* (see module docstring).
     """
     totals = {name: 0.0 for name in PHASE_NAMES[:-1]}
-    for name in totals:
-        for span in root.find(name):
-            totals[name] += span.duration
+    # One pre-order walk visits each phase's spans in the order
+    # ``root.find(phase)`` lists them, so every per-phase sum is the same.
+    pending = [root]
+    while pending:
+        span = pending.pop()
+        if span.name in totals:
+            totals[span.name] += span.end - span.start
+        pending.extend(reversed(span.children))
     measured = (
         ((totals["stall"] + totals["queue-wait"]) + totals["worker-call"])
         + totals["backoff"]

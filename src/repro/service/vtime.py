@@ -17,12 +17,26 @@ Concretely, :class:`VirtualTimeEventLoop` subclasses
   implementation (which now sees that timer as already due).
 
 Every ``await asyncio.sleep(dt)`` therefore completes in zero wall-clock
-time but exactly ``dt`` virtual seconds, and because the loop is single
-threaded with no real I/O, callback order is a pure function of the
-program — timers with equal deadlines keep their scheduling order
-(``heapq`` plus ``TimerHandle``'s tiebreaker are stable).  The service
-code does not know which loop it is on: ``repro loadtest`` runs it here,
-``repro serve`` runs the same coroutines on the standard real-time loop.
+time but exactly ``dt`` virtual seconds.  The loop is single threaded
+with no real I/O, so callback order is a pure function of the program.
+That is not because timers with equal deadlines keep their scheduling
+order: ``TimerHandle`` compares ``_when`` only, so ``heapq`` may pop
+equal-deadline timers in any order (eight handles pushed with one
+deadline pop as ``[0, 2, 6, 5, 7, 4, 1, 3]`` on CPython 3.11).  It is
+because the sequence of heap pushes and pops is itself a pure function
+of the program, so even the tie order replays exactly.  A change to
+*which* timers a program schedules can therefore reorder equal-deadline
+callbacks, and must be checked against the seeded span digests.  The
+service code does not know which loop it is on: ``repro loadtest`` runs
+it here, ``repro serve`` runs the same coroutines on the standard
+real-time loop.
+
+The loop does no I/O, so its selector (:class:`_NoIOSelector`) answers
+``select()`` with no events and makes no syscall.  The only file
+descriptor it accepts is the loop's own self-pipe, registered while the
+loop is built; registering any other raises, because it would never be
+polled.  A loop with nothing ready and no timer pending can never wake
+up again, and ``select()`` raises there instead of hanging.
 
 The two private attributes this relies on (``_ready``, ``_scheduled`` and
 the ``TimerHandle._when``/``_cancelled`` fields) have been stable across
@@ -35,20 +49,52 @@ from __future__ import annotations
 import asyncio
 import heapq
 import selectors
-from typing import Any, Coroutine, TypeVar
+from typing import Any, Coroutine, List, Optional, Tuple, TypeVar
 
 __all__ = ["VirtualTimeEventLoop", "run_virtual"]
 
 T = TypeVar("T")
 
 
+class _NoIOSelector(selectors.SelectSelector):
+    """A selector for a loop without I/O: ``select()`` never polls.
+
+    Registration works until :attr:`sealed` is set, which the loop does
+    once its self-pipe is registered.
+    """
+
+    sealed = False
+
+    def register(
+        self, fileobj: Any, events: int, data: Any = None
+    ) -> selectors.SelectorKey:
+        if self.sealed:
+            raise RuntimeError(
+                f"the virtual-time loop does no I/O; cannot register "
+                f"{fileobj!r}"
+            )
+        return super().register(fileobj, events, data)
+
+    def select(
+        self, timeout: Optional[float] = None
+    ) -> List[Tuple[selectors.SelectorKey, int]]:
+        # The base loop passes timeout=None only when nothing is ready,
+        # no timer is pending and the loop is not stopping.
+        if timeout is None:
+            raise RuntimeError(
+                "virtual-time loop is idle with no timer pending: the "
+                "program waits on something that can never happen"
+            )
+        return []
+
+
 class VirtualTimeEventLoop(asyncio.SelectorEventLoop):
     """A selector event loop whose clock jumps between timer deadlines."""
 
     def __init__(self) -> None:
-        # A plain SelectSelector: never polled with a timeout (we pass 0 by
-        # keeping something due), and portable everywhere.
-        super().__init__(selectors.SelectSelector())
+        selector = _NoIOSelector()
+        super().__init__(selector)
+        selector.sealed = True
         self._virtual_time = 0.0
         if (
             not hasattr(self, "_scheduled")

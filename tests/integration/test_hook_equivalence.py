@@ -1,18 +1,19 @@
 """Hooked and unhooked runs take the same path through the step loop.
 
-The simulator runs with and without hooks in one loop, with the hook work
-behind a local boolean.  A pass-through :class:`StepHook` (every method the
-no-op default) must therefore leave a run exactly as it was: same outputs,
-same per-process step counts, same completion and crash sets, and the same
-errors when a run cannot finish.  This is checked for every catalog
-conciliator plus register consensus under four schedule families and the
-crash-half adversary.
+The simulator runs with and without hooks in one loop, which calls each
+hook callback only on the hooks that override it, so a callback no hook
+overrides costs one empty-list test per step.  A pass-through
+:class:`StepHook` (every method the no-op default) must therefore leave a
+run exactly as it was: same outputs, same per-process step counts, same
+completion and crash sets, and the same errors when a run cannot finish.
+This is checked for every catalog conciliator plus register consensus
+under four schedule families and the crash-half adversary.
 
-The adaptive runner keeps its hook work behind a local boolean the same
-way, so the same holds there: under every adaptive strategy and the
-late-δ and noisy-σ ladder rungs, a pass-through hook leaves outputs, step
-counts, crashed pids and the trace unchanged, and the step-limit and
-starvation errors match.
+Adaptive adversaries run through the same loop, their picks taking the
+schedule's place, so the same holds there: under every adaptive strategy
+and the late-δ and noisy-σ ladder rungs, a pass-through hook leaves
+outputs, step counts, crashed pids and the trace unchanged, and the
+step-limit and starvation errors match.
 """
 
 import pytest

@@ -81,6 +81,22 @@ class TestWireProtocol:
         assert "error" in replies[0]
         assert "version" in replies[0]["error"]
 
+    def test_non_finite_deadline_is_an_invalid_request(self):
+        nan_line = request_line(0).replace('"deadline": 5.0',
+                                           '"deadline": NaN')
+        assert "NaN" in nan_line
+        replies = talk([nan_line, request_line(1)])
+        assert replies[0]["error"].startswith("invalid session request")
+        assert "finite" in replies[0]["error"]
+        assert replies[1]["status"] == "completed"
+
+    def test_unknown_family_is_the_clients_fault(self):
+        replies = talk([request_line(0, schedule_family="nope"),
+                        request_line(1)])
+        assert "nope" in replies[0]["error"]
+        assert replies[0]["session_id"] == 0
+        assert replies[1]["status"] == "completed"
+
     def test_unknown_algorithm_is_the_clients_fault(self):
         replies = talk([request_line(0, algorithm="no-such")])
         assert "error" in replies[0]

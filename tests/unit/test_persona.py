@@ -125,6 +125,29 @@ class TestInlinedRandint:
         ]
 
 
+class TestInlinedCoin:
+    """``for_sifting`` and ``for_snapshot`` inline ``randrange(2)`` for the
+    combine coin; the stream must stay the one ``randrange`` draws."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sifting_bits_coin_and_later_stream_equal_reference(self, seed):
+        probabilities = [0.9, 0.6, 0.5, 0.5, 0.25, 0.5, 0.5]
+        reference = random.Random(seed)
+        expected_bits = tuple(
+            reference.random() < p for p in probabilities
+        )
+        expected_coin = reference.randrange(2)
+        rng = random.Random(seed)
+        persona = Persona.for_sifting("v", 3, rng, probabilities)
+        assert persona == Persona(
+            value="v", origin=3, write_bits=expected_bits,
+            coin=expected_coin,
+        )
+        assert [rng.random() for _ in range(5)] == [
+            reference.random() for _ in range(5)
+        ]
+
+
 def reference_adoption(view, round_index):
     candidates = [entry for entry in view if entry is not None]
     return max(

@@ -23,6 +23,22 @@ from repro.runtime.scheduler import (
 )
 
 
+def shuffled_passes(seed, items, passes):
+    """What the lockstep schedules must yield: ``passes`` successive
+    ``Random(seed).shuffle`` results of ``items``, concatenated."""
+    rng = random.Random(seed)
+    items = list(items)
+    slots = []
+    for _ in range(passes):
+        rng.shuffle(items)
+        slots.extend(items)
+    return slots
+
+
+STREAM_SIZES = [1, 2, 3, 5, 8, 64]
+STREAM_SEEDS = [0, 1, 7, 2012, 2**40 + 3]
+
+
 class TestExplicitSchedule:
     def test_yields_given_slots(self):
         assert ExplicitSchedule([0, 1, 1, 0]).take(10) == [0, 1, 1, 0]
@@ -223,6 +239,14 @@ class TestPermutedRoundRobin:
         with pytest.raises(ConfigurationError):
             PermutedRoundRobinSchedule(0, seed=0)
 
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("n", STREAM_SIZES)
+    def test_passes_equal_random_shuffle(self, n, seed):
+        # The schedule inlines shuffle's draws; every seeded artifact
+        # assumes the two streams stay equal.
+        expected = shuffled_passes(seed, range(n), 40)
+        assert PermutedRoundRobinSchedule(n, seed).take(40 * n) == expected
+
 
 class TestInterleavedLockstep:
     def test_every_window_has_each_pid_twice(self):
@@ -262,3 +286,10 @@ class TestInterleavedLockstep:
     def test_rejects_zero_processes(self):
         with pytest.raises(ConfigurationError):
             InterleavedLockstepSchedule(0, seed=0)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("n", STREAM_SIZES)
+    def test_windows_equal_random_shuffle(self, n, seed):
+        window = [pid for pid in range(n) for _ in range(2)]
+        expected = shuffled_passes(seed, window, 40)
+        assert InterleavedLockstepSchedule(n, seed).take(80 * n) == expected

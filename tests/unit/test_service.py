@@ -6,6 +6,8 @@ deterministically.
 """
 
 import asyncio
+import json
+import socket
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.service import (
     ServiceConfig,
     SessionRequest,
     SessionResponse,
+    VirtualTimeEventLoop,
     run_virtual,
 )
 from repro.service.session import (
@@ -53,6 +56,28 @@ def request(i, **overrides):
     return SessionRequest(**defaults)
 
 
+class TestVirtualTimeLoop:
+    def test_registering_a_reader_raises(self):
+        loop = VirtualTimeEventLoop()
+        left, right = socket.socketpair()
+        try:
+            with pytest.raises(RuntimeError, match="does no I/O"):
+                loop.add_reader(left.fileno(), lambda: None)
+            with pytest.raises(RuntimeError, match="does no I/O"):
+                loop.add_writer(right.fileno(), lambda: None)
+        finally:
+            left.close()
+            right.close()
+            loop.close()
+
+    def test_waiting_on_nothing_raises_instead_of_hanging(self):
+        async def main():
+            await asyncio.get_running_loop().create_future()
+
+        with pytest.raises(RuntimeError, match="idle with no timer"):
+            run_virtual(main())
+
+
 class TestVocabulary:
     def test_request_round_trips_through_json(self):
         original = request(3, deadline=2.5)
@@ -74,6 +99,21 @@ class TestVocabulary:
         with pytest.raises(ConfigurationError):
             SessionResponse(session_id=0, status="failed",
                             code="queue-full")
+
+    @pytest.mark.parametrize(
+        "deadline", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_deadline_must_be_finite_and_positive(self, deadline):
+        with pytest.raises(ConfigurationError, match="finite and > 0"):
+            request(0, deadline=deadline)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_from_json_refuses_non_finite_deadline_literals(self, literal):
+        data = json.loads(
+            f'{{"version": 1, "session_id": 1, "deadline": {literal}}}'
+        )
+        with pytest.raises(ConfigurationError, match="finite and > 0"):
+            SessionRequest.from_json(data)
 
     def test_foreign_versions_are_rejected(self):
         data = request(0).to_json()

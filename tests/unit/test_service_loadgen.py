@@ -89,6 +89,15 @@ class TestArrivalTable:
                 schedule_family="round-robin", deadline=5.0,
             )
 
+    def test_unknown_family_is_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="unknown schedule family 'nope'"):
+            _draw_arrivals(
+                PROFILES["steady"], 1, 0,
+                algorithm="sifting", n=4,
+                schedule_family="nope", deadline=5.0,
+            )
+
 
 class TestRunLoadtest:
     def test_unknown_profile_is_rejected(self):
@@ -98,6 +107,33 @@ class TestRunLoadtest:
     def test_zero_sessions_is_rejected(self):
         with pytest.raises(ConfigurationError, match="sessions"):
             run_loadtest(sessions=0)
+
+    def test_unknown_family_is_rejected_before_any_session_runs(self):
+        with pytest.raises(ConfigurationError, match="unknown schedule"):
+            run_loadtest(profile="steady", sessions=20, seed=1,
+                         schedule_family="nope")
+
+    def test_non_finite_deadline_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="finite and > 0"):
+            run_loadtest(profile="steady", sessions=20, seed=1,
+                         deadline=float("nan"))
+
+    def test_each_broken_session_counts_once(self, monkeypatch):
+        import repro.service.service as service_module
+
+        real = service_module.execute_session
+
+        def flaky(request, **kwargs):
+            if request.session_id % 4 == 0:
+                raise RuntimeError("worker bug")
+            return real(request, **kwargs)
+
+        monkeypatch.setattr(service_module, "execute_session", flaky)
+        result = run_loadtest(profile="steady", sessions=20, seed=1)
+        assert result.unexpected_errors == 5
+        assert len(result.responses) == 15
+        assert sorted(r.session_id % 4 for r in result.responses) == (
+            sorted([1, 2, 3] * 5))
 
     def test_small_steady_run_serves_every_session(self):
         result = run_loadtest(

@@ -125,6 +125,27 @@ class TestExactAttribution:
         assert phases["worker-call"] == 0.25
         assert phases["unattributed"] == 0.75
 
+    def test_each_phase_is_summed_in_tree_order(self):
+        # Float addition is not associative: 1.0 followed by five 1e-16
+        # sums to 1.0, the reverse order to 1.0000000000000004.  Each
+        # phase must add its spans in ``root.find`` (pre-)order.
+        root = Span(name="session", start=0.0, end=2.0, status="failed",
+                    attrs={"session_id": 0})
+        durations = [1.0] + [1e-16] * 5
+        for index, duration in enumerate(durations):
+            attempt = root.child("attempt", 0.0, 2.0, attempt=index)
+            attempt.child("queue-wait", 0.0, duration)
+            attempt.child("backoff", 0.0, durations[-1 - index])
+        phases = attribute_phases(root, 2.0)
+        assert phases["queue-wait"] == 1.0
+        assert phases["backoff"] == 1.0000000000000004
+        for name in PHASE_NAMES[:-1]:
+            expected = 0.0
+            for span in root.find(name):
+                expected += span.duration
+            assert phases[name] == expected, name
+        assert phase_sum(phases) == 2.0
+
     def test_phase_names_order_is_the_fold_order(self):
         assert PHASE_NAMES == ("stall", "queue-wait", "worker-call",
                                "backoff", "unattributed")
