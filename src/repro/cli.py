@@ -67,7 +67,7 @@ from repro.runtime.rng import SeedTree
 from repro.runtime.simulator import run_programs
 from repro.runtime.vectorized import BACKENDS
 from repro.service.loadgen import PROFILES
-from repro.workloads.inputs import standard_input_gallery
+from repro.workloads.inputs import INPUT_WORKLOADS, make_input
 from repro.workloads.schedules import (
     ALL_SCHEDULE_FAMILIES,
     make_schedule,
@@ -173,9 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     consensus.add_argument("--model", choices=["register", "snapshot", "linear"],
                            default="register")
     consensus.add_argument("--n", type=int, default=16)
-    consensus.add_argument("--workload",
-                           choices=["distinct", "binary", "four-valued",
-                                    "skewed", "unanimous"],
+    consensus.add_argument("--workload", choices=list(INPUT_WORKLOADS),
                            default="distinct")
     consensus.add_argument("--schedule", choices=list(ALL_SCHEDULE_FAMILIES),
                            default="random")
@@ -679,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_consensus(args: argparse.Namespace) -> int:
-    inputs = standard_input_gallery(args.n, seed=args.seed)[args.workload]
+    inputs = make_input(args.workload, args.n, seed=args.seed)
     domain: List = []
     for value in inputs:
         if value not in domain:

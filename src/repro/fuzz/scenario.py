@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -51,6 +52,7 @@ from repro.errors import (
 from repro.fuzz.stacks import (
     ADOPT_COMMIT,
     CONSENSUS,
+    STACKS,
     StackSpec,
     get_stack,
     stack_names,
@@ -76,7 +78,7 @@ from repro.runtime.trace import (
     check_register_semantics,
     check_snapshot_semantics,
 )
-from repro.workloads.inputs import standard_input_gallery
+from repro.workloads.inputs import INPUT_WORKLOADS, make_input
 from repro.workloads.schedules import SCHEDULE_FAMILIES, ScheduleSpec
 
 __all__ = [
@@ -91,7 +93,7 @@ __all__ = [
 ]
 
 #: Input-gallery workloads the fuzzer draws from.
-WORKLOADS = ("distinct", "binary", "four-valued", "skewed", "unanimous")
+WORKLOADS = INPUT_WORKLOADS
 
 #: Oracles that stay hard even when the fault plan steps outside the
 #: atomic-register model: bounded register misbehaviour may wreck
@@ -105,13 +107,7 @@ _FAULT_NAME_PATTERNS = ("proposal", ".r[", "flag", ".A[", ".B[", "announce")
 
 def make_inputs(workload: str, n: int, seed: int) -> List[Any]:
     """The named input assignment for ``n`` processes."""
-    gallery = standard_input_gallery(n, seed=seed % 2**32)
-    try:
-        return gallery[workload]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown workload {workload!r}; choose from {WORKLOADS}"
-        ) from None
+    return make_input(workload, n, seed % 2**32)
 
 
 @dataclass(frozen=True)
@@ -403,6 +399,27 @@ def _random_explicit_slots(rng, n: int) -> Tuple[int, ...]:
     return tuple(slots)
 
 
+#: The sorted draw lists that depend only on module constants.
+_WORKLOAD_DRAW = sorted(WORKLOADS)
+_ADAPTIVE_DRAW = sorted(ADAPTIVE_FAMILIES)
+_SCHEDULE_DRAW = sorted(SCHEDULE_FAMILIES + ("explicit",))
+
+#: ``config.stacks`` -> (the registered specs it was resolved against, the
+#: sorted stack names drawn from).
+_STACK_DRAWS: Dict[Tuple[str, ...], Tuple[Tuple[StackSpec, ...], List[str]]] = {}
+
+
+def _stack_draw(config: FuzzConfig) -> List[str]:
+    """``sorted(config.resolved_stacks())``, resolved again only when the
+    stack registry has changed since the last draw for these stacks."""
+    registry = tuple(STACKS.values())
+    cached = _STACK_DRAWS.get(config.stacks)
+    if cached is None or cached[0] != registry:
+        cached = (registry, sorted(config.resolved_stacks()))
+        _STACK_DRAWS[config.stacks] = cached
+    return cached[1]
+
+
 def generate_scenario(
     master_seed: int, trial_index: int, config: FuzzConfig
 ) -> Scenario:
@@ -414,21 +431,23 @@ def generate_scenario(
         .child(f"trial-{trial_index}")
         .rng()
     )
-    spec = get_stack(rng.choice(sorted(config.resolved_stacks())))
+    spec = get_stack(rng.choice(_stack_draw(config)))
     low = max(config.min_n, spec.min_n)
     high = max(config.max_n, low)
     n = rng.randint(low, high)
-    workload = rng.choice(sorted(spec.workloads or WORKLOADS))
+    workload = rng.choice(
+        sorted(spec.workloads) if spec.workloads else _WORKLOAD_DRAW
+    )
     seed = rng.randrange(2**48)
 
     adaptive: Optional[AdaptiveSpec] = None
     schedule: Optional[ScheduleSpec] = None
     if config.include_adaptive and rng.random() < 0.25:
         adaptive = AdaptiveSpec(
-            rng.choice(sorted(ADAPTIVE_FAMILIES)), seed=rng.randrange(2**32)
+            rng.choice(_ADAPTIVE_DRAW), seed=rng.randrange(2**32)
         )
     else:
-        family = rng.choice(sorted(SCHEDULE_FAMILIES + ("explicit",)))
+        family = rng.choice(_SCHEDULE_DRAW)
         if family == "explicit":
             schedule = ScheduleSpec(
                 "explicit", n, slots=_random_explicit_slots(rng, n)
@@ -499,6 +518,13 @@ def generate_scenario(
 # ----- execution + oracles --------------------------------------------------
 
 
+#: Which post-hoc checker an object's trace gets, by the kinds it saw.
+_SNAPSHOT_KINDS = frozenset({"update", "scan"})
+_MAX_REGISTER_KINDS = frozenset({"maxwrite", "maxread"})
+_REGISTER_KINDS = frozenset({"read", "write"})
+_KIND = attrgetter("kind")
+
+
 def _trace_records(result: RunResult, n: int) -> List[ViolationRecord]:
     """Post-hoc trace-semantics oracles, one verdict per shared object."""
     records: List[ViolationRecord] = []
@@ -509,18 +535,19 @@ def _trace_records(result: RunResult, n: int) -> List[ViolationRecord]:
         by_object.setdefault(event.obj_name, []).append(event)
     for name in sorted(by_object):
         events = by_object[name]
-        kinds = {event.kind for event in events}
+        kinds = set(map(_KIND, events))
         try:
-            if kinds & {"update", "scan"}:
+            if not kinds.isdisjoint(_SNAPSHOT_KINDS):
                 check_snapshot_semantics(events, n)
-            elif kinds & {"maxwrite", "maxread"}:
+            elif not kinds.isdisjoint(_MAX_REGISTER_KINDS):
                 check_max_register_semantics(events)
-            elif kinds & {"read", "write"}:
+            elif not kinds.isdisjoint(_REGISTER_KINDS):
                 # The checker assumes initial=None; registers created with a
                 # different initial value (e.g. flag registers holding
                 # False) would trip it spuriously, so treat the first
                 # pre-write read as defining the initial value.
-                initial = events[0].result if events[0].kind == "read" else None
+                first = events[0]
+                initial = first.result if first.kind == "read" else None
                 check_register_semantics(events, initial=initial)
         except ProtocolViolationError as error:
             records.append(ViolationRecord("trace-semantics", None, str(error)))

@@ -127,13 +127,16 @@ class PendingKindAdversary(AdaptiveAdversary):
         rank = self._ranks.get
         unlisted = len(self.priority)
         pending_kind = view.pending_kind
-        # One integer key per candidate: rank first, then the rotated pid,
-        # which is always below ``modulus``.
-        return min(
-            candidates,
-            key=lambda pid: (rank(pending_kind(pid), unlisted) * modulus
-                             + (pid + rotation) % modulus),
-        )
+        # One first-minimum pass over one integer key per candidate: rank
+        # first, then the rotated pid, which is always below ``modulus``.
+        chosen = -1
+        least = (unlisted + 1) * modulus
+        for pid in candidates:
+            key = (rank(pending_kind(pid), unlisted) * modulus
+                   + (pid + rotation) % modulus)
+            if key < least:
+                chosen, least = pid, key
+        return chosen
 
 
 class LongestFirstAdversary(AdaptiveAdversary):

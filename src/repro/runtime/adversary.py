@@ -127,6 +127,30 @@ class _StaleView:
         return self._snapshot[pid][3]
 
 
+class _Pending:
+    """A process as :func:`_live_state` rebuilds it from a view's methods."""
+
+    __slots__ = ("pending_operation",)
+
+    def __init__(self, pending_operation: Any):
+        self.pending_operation = pending_operation
+
+
+def _live_state(view: Any) -> Tuple[Dict[int, Any], Dict[int, int]]:
+    """``view``'s runnable processes and their step counts, by pid in pid
+    order.
+
+    For the simulator's own :class:`AdversaryView` these are its two dicts,
+    read in place instead of through three method calls per pid; any other
+    view is rebuilt through its methods.
+    """
+    if type(view) is AdversaryView:
+        return view._live, view._steps
+    pids = view.unfinished()
+    return ({pid: _Pending(view.pending_operation(pid)) for pid in pids},
+            {pid: view.steps_taken(pid) for pid in pids})
+
+
 class LateAdversary(AdaptiveAdversary):
     """An adaptive strategy whose view of the run lags by ``delay`` decisions.
 
@@ -151,42 +175,42 @@ class LateAdversary(AdaptiveAdversary):
         self.clamped = 0
 
     def choose(self, view: AdversaryView) -> int:
-        candidates = view.unfinished()
-        if not candidates:
-            raise SimulationError("adversary consulted with no runnable process")
         # Capture this decision's snapshot.  Each object name has one
         # stand-in whose ``value`` every capture overwrites, so older
         # snapshots see the newest captured contents through it.
+        live, steps = _live_state(view)
         stale_objects = self._stale_objects
-        pending_operation = view.pending_operation
-        steps_taken = view.steps_taken
         snapshot: Dict[int, _Entry] = {}
-        for pid in candidates:
-            operation = pending_operation(pid)
+        for pid, process in live.items():
+            operation = process.pending_operation
             if operation is None:
-                snapshot[pid] = (None, None, None, steps_taken(pid))
+                snapshot[pid] = (None, None, None, steps[pid])
                 continue
             obj = operation.obj
-            stale_obj = stale_objects.get(obj.name)
+            name = obj.name
+            stale_obj = stale_objects.get(name)
             if stale_obj is None:
-                stale_obj = stale_objects[obj.name] = _StaleObject(obj.name)
+                stale_obj = stale_objects[name] = _StaleObject(name)
             stale_obj.value = getattr(obj, "value", None)
             snapshot[pid] = (operation.kind, stale_obj,
-                             getattr(operation, "value", None),
-                             steps_taken(pid))
-        self._snapshots.append(snapshot)
-        if len(self._snapshots) <= self.delay:
-            # Not enough history yet: the adversary has seen nothing it is
-            # allowed to act on, so it schedules obliviously.
-            return candidates[self._rng.randrange(len(candidates))]
-        choice = self.inner.choose(_StaleView(self._snapshots[0]))
-        if choice not in snapshot:
+                             getattr(operation, "value", None), steps[pid])
+        if not snapshot:
+            raise SimulationError("adversary consulted with no runnable process")
+        snapshots = self._snapshots
+        snapshots.append(snapshot)
+        if len(snapshots) > self.delay:
+            choice = self.inner.choose(_StaleView(snapshots[0]))
+            if choice in snapshot:
+                return choice
             # The stale view named a process that has since finished or
             # crashed; an execution needs *some* runnable pid, so clamp to
             # a seeded uniform draw (the oblivious fallback).
             self.clamped += 1
-            return candidates[self._rng.randrange(len(candidates))]
-        return choice
+        # The same draw serves while too little history has accumulated:
+        # the adversary has seen nothing it is allowed to act on, so it
+        # schedules obliviously.
+        candidates = list(snapshot)
+        return candidates[self._rng.randrange(len(candidates))]
 
 
 class NoisySchedulerAdversary(AdaptiveAdversary):

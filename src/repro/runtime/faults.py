@@ -161,6 +161,12 @@ def _unwrapped(function: Any) -> Any:
     return function
 
 
+#: Each stage's :class:`StepHook` default, unwrapped once.
+_DEFAULTS = {
+    stage: _unwrapped(getattr(StepHook, stage)) for stage in HOOK_STAGES
+}
+
+
 def hook_methods(hooks: Sequence[Any], stage: str) -> List[Callable[..., Any]]:
     """The bound ``stage`` methods of the hooks that override it, in order.
 
@@ -174,12 +180,13 @@ def hook_methods(hooks: Sequence[Any], stage: str) -> List[Callable[..., Any]]:
     methods: List[Callable[..., Any]] = []
     if not hooks:
         return methods
-    default = _unwrapped(getattr(StepHook, stage))
+    default = _DEFAULTS[stage]
     for hook in hooks:
         method = getattr(hook, stage, None)
-        if (method is not None
-                and _unwrapped(getattr(method, "__func__", method))
-                is not default):
+        if method is None:
+            continue
+        function = getattr(method, "__func__", method)
+        if function is not default and _unwrapped(function) is not default:
             methods.append(method)
     return methods
 
@@ -374,6 +381,8 @@ class FaultPlan:
 
     def injector(self) -> "FaultInjector":
         """Build a fresh stateful injector for one run."""
+        if not self.register_faults:
+            return _SlotFaultInjector(self)
         return FaultInjector(self)
 
     def to_json(self) -> Dict[str, Any]:
@@ -531,6 +540,18 @@ class FaultInjector(StepHook):
             self._write_history.setdefault(operation.obj.name, []).append(
                 operation.value
             )
+
+
+class _SlotFaultInjector(FaultInjector):
+    """The injector of a plan with crashes and stalls only.
+
+    With no register fault there is nothing to intercept and no stale read
+    to serve from a write history, so both callbacks stay
+    :class:`StepHook`'s defaults, which the step loop never calls.
+    """
+
+    intercept = StepHook.intercept  # type: ignore[assignment]
+    after_step = StepHook.after_step  # type: ignore[assignment]
 
 
 # ----- service-level faults --------------------------------------------------

@@ -11,7 +11,7 @@ the last write, snapshot views nest, max registers are monotone).  This turns
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ProtocolViolationError
 
@@ -19,9 +19,15 @@ __all__ = ["TraceEvent", "TraceRecorder", "check_register_semantics",
            "check_snapshot_semantics", "check_max_register_semantics"]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One executed atomic operation.
+
+    A tuple underneath, since the simulator builds one per traced step;
+    it keeps the interface it had as a frozen dataclass: the same fields,
+    ``repr`` and hash, equality only with another :class:`TraceEvent`, no
+    attribute assignment, and :mod:`dataclasses` introspection
+    (``fields``, ``astuple``, ``asdict``, ``replace``) through
+    :class:`_TraceEventFields`.
 
     Attributes:
         step: global step index (0-based, counted operations only).
@@ -38,6 +44,36 @@ class TraceEvent:
     obj_name: str
     value: Any
     result: Any
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)  # type: ignore[arg-type]
+        # A bare or foreign named tuple with the same items is no event.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+
+@dataclass(frozen=True)
+class _TraceEventFields:
+    """:class:`TraceEvent`'s fields, declared the way :mod:`dataclasses`
+    reads them."""
+
+    step: int
+    pid: int
+    kind: str
+    obj_name: str
+    value: Any
+    result: Any
+
+
+TraceEvent.__dataclass_fields__ = (  # type: ignore[attr-defined]
+    _TraceEventFields.__dataclass_fields__  # type: ignore[attr-defined]
+)
 
 
 class TraceRecorder:

@@ -38,7 +38,6 @@ from repro.service.session import SessionRequest, SessionResponse
 from repro.service.spans import Span
 from repro.service.vtime import run_virtual
 from repro.service.workers import ALGORITHMS
-from repro.workloads.schedules import ALL_SCHEDULE_FAMILIES
 
 __all__ = [
     "ArrivalProfile",
@@ -184,11 +183,6 @@ def _draw_arrivals(
         raise ConfigurationError(
             f"unknown algorithm {algorithm!r}; "
             f"choose from {tuple(sorted(ALGORITHMS))}"
-        )
-    if schedule_family not in ALL_SCHEDULE_FAMILIES:
-        raise ConfigurationError(
-            f"unknown schedule family {schedule_family!r}; "
-            f"choose from {ALL_SCHEDULE_FAMILIES}"
         )
     rng = random.Random(derive_seed(seed, "loadgen", profile.name))
     arrivals: List[_Arrival] = []

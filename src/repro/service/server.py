@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Optional
+from functools import partial
+from typing import Any, Dict, Optional, Set
 
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
@@ -73,6 +74,9 @@ class ServiceServer:
             config, metrics=metrics, chaos=chaos
         )
         self._server: Optional[asyncio.AbstractServer] = None
+        #: The open connections' tasks (the loop itself keeps only weak
+        #: references to tasks).
+        self._connections: Set["asyncio.Task[None]"] = set()
 
     @property
     def port(self) -> int:
@@ -83,7 +87,7 @@ class ServiceServer:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._server = await asyncio.start_server(
-            self._handle, host=host, port=port
+            self._connected, host=host, port=port
         )
 
     async def stop(self) -> None:
@@ -96,6 +100,39 @@ class ServiceServer:
         if self._server is None:
             raise RuntimeError("call start() before serve_forever()")
         await self._server.serve_forever()
+
+    def _connected(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Serve one new connection in a task of its own.
+
+        Handed a coroutine function, ``asyncio.start_server`` would run it
+        in a task whose done-callback calls ``task.exception()``.  On
+        Python 3.11 that call raises for a task cancelled at loop shutdown,
+        and the loop logs a ``CancelledError`` traceback.  This task still
+        ends cancelled, so whoever awaits it sees the cancellation; only a
+        real failure is reported, and it closes the connection.
+        """
+        task = asyncio.get_running_loop().create_task(
+            self._handle(reader, writer)
+        )
+        self._connections.add(task)
+        task.add_done_callback(partial(self._connection_done, writer))
+
+    def _connection_done(
+        self, writer: asyncio.StreamWriter, task: "asyncio.Task[None]"
+    ) -> None:
+        self._connections.discard(task)
+        if task.cancelled():
+            return
+        error = task.exception()
+        if error is not None:
+            task.get_loop().call_exception_handler({
+                "message": "unhandled exception in a service connection",
+                "exception": error,
+                "transport": writer.transport,
+            })
+            writer.transport.close()
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -150,10 +187,17 @@ class ServiceServer:
         try:
             request = SessionRequest.from_json(payload)
         except (ReproError, KeyError, TypeError, ValueError) as error:
-            return json.dumps(
-                {"error": f"invalid session request: {error}"},
-                sort_keys=True,
+            reply: Dict[str, Any] = {
+                "error": f"invalid session request: {error}"
+            }
+            session_id = (
+                payload.get("session_id") if isinstance(payload, dict)
+                else None
             )
+            if isinstance(session_id, int):
+                # Echo the client's id, as a refused admission would.
+                reply["session_id"] = session_id
+            return json.dumps(reply, sort_keys=True)
         try:
             response = await self.service.submit(request)
         except ReproError as error:

@@ -32,6 +32,7 @@ from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.jsonio import expect_versioned
+from repro.workloads.schedules import ALL_SCHEDULE_FAMILIES
 
 __all__ = [
     "FAILURE_CODES",
@@ -75,7 +76,8 @@ class SessionRequest:
         algorithm: catalog name from
             :data:`repro.service.workers.ALGORITHMS`.
         n: number of simulated processes (also the input width).
-        schedule_family: oblivious adversary family for the round.
+        schedule_family: oblivious adversary family for the round, one
+            of :data:`~repro.workloads.schedules.ALL_SCHEDULE_FAMILIES`.
         deadline: total budget for the session in service-clock seconds,
             covering queueing, all retry attempts, and backoff; must be
             finite and > 0.
@@ -97,6 +99,14 @@ class SessionRequest:
             )
         if self.n < 2:
             raise ConfigurationError(f"n must be >= 2, got {self.n}")
+        # Checked here, not when a worker builds the schedule: the service
+        # would otherwise admit the session and spend a queue slot and a
+        # worker attempt on it before the error surfaced.
+        if self.schedule_family not in ALL_SCHEDULE_FAMILIES:
+            raise ConfigurationError(
+                f"unknown schedule family {self.schedule_family!r}; "
+                f"choose from {ALL_SCHEDULE_FAMILIES}"
+            )
         # NaN fails every comparison, so ``deadline <= 0`` alone lets it
         # through; an infinite deadline would serialize as ``Infinity``,
         # which strict JSON parsers reject.

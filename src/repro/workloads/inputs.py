@@ -15,13 +15,18 @@ from typing import Any, Dict, List
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "INPUT_WORKLOADS",
     "all_distinct_inputs",
     "binary_inputs",
     "k_valued_inputs",
     "skewed_inputs",
     "unanimous_inputs",
+    "make_input",
     "standard_input_gallery",
 ]
+
+#: The named assignments of :func:`standard_input_gallery`, in its order.
+INPUT_WORKLOADS = ("distinct", "binary", "four-valued", "skewed", "unanimous")
 
 
 def _check_n(n: int) -> None:
@@ -72,12 +77,23 @@ def unanimous_inputs(n: int, value: Any = 0) -> List[Any]:
     return [value] * n
 
 
+def make_input(name: str, n: int, seed: int = 0) -> List[Any]:
+    """The assignment ``standard_input_gallery(n, seed)[name]``, built alone."""
+    if name == "distinct":
+        return all_distinct_inputs(n)
+    if name == "binary":
+        return binary_inputs(n, seed=seed)
+    if name == "four-valued":
+        return k_valued_inputs(n, min(4, n), seed=seed)
+    if name == "skewed":
+        return skewed_inputs(n, minority_count=min(2, n))
+    if name == "unanimous":
+        return unanimous_inputs(n)
+    raise ConfigurationError(
+        f"unknown workload {name!r}; choose from {INPUT_WORKLOADS}"
+    )
+
+
 def standard_input_gallery(n: int, seed: int = 0) -> Dict[str, List[Any]]:
     """The named input assignments used across tests and benchmarks."""
-    return {
-        "distinct": all_distinct_inputs(n),
-        "binary": binary_inputs(n, seed=seed),
-        "four-valued": k_valued_inputs(n, min(4, n), seed=seed),
-        "skewed": skewed_inputs(n, minority_count=min(2, n)),
-        "unanimous": unanimous_inputs(n),
-    }
+    return {name: make_input(name, n, seed) for name in INPUT_WORKLOADS}

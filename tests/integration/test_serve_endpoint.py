@@ -246,3 +246,91 @@ class TestControlVerbs:
 
         assert outcomes(first_responses) == outcomes(second_responses)
         assert outcomes(first_responses) == outcomes(bare_responses)
+
+
+class TestRefusalAndShutdown:
+    def test_unknown_family_is_never_admitted(self):
+        """The family is checked when the request is parsed, so a fresh
+        service that refused one counts no admission, no attempt and no
+        session at all."""
+
+        async def main():
+            server = ServiceServer()
+            await server.start("127.0.0.1", 0)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(request_line(4, schedule_family="nope")
+                             .encode("utf-8") + b"\n")
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+                snapshot = server.service.snapshot(0.0)
+                return reply, server.service.metrics.to_json(), snapshot
+            finally:
+                await server.stop()
+
+        reply, metrics, snapshot = asyncio.run(main())
+        assert reply["error"].startswith("invalid session request")
+        assert "unknown schedule family 'nope'" in reply["error"]
+        assert reply["session_id"] == 4
+        assert metrics["counters"].get("service.admitted", 0) == 0
+        assert metrics["counters"].get("service.attempts", 0) == 0
+        assert snapshot["sessions"] == {
+            "completed": 0, "failed": {}, "rejected": {}
+        }
+        assert snapshot["spans"]["recorded_total"] == 0
+
+    def test_shutdown_with_a_closing_connection_logs_nothing(self, caplog):
+        """The client hangs up and the loop ends while the server side is
+        still closing: asyncio must not log a ``CancelledError``
+        traceback for the connection task."""
+
+        async def main():
+            server = ServiceServer()
+            await server.start("127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(request_line(1).encode("utf-8") + b"\n")
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+            return reply
+
+        with caplog.at_level("WARNING", logger="asyncio"):
+            reply = asyncio.run(main())
+        assert reply["status"] == "completed"
+        logged = [record for record in caplog.records
+                  if record.name == "asyncio" and record.levelname != "DEBUG"]
+        assert logged == [], [record.getMessage() for record in logged]
+
+    def test_a_cancelled_connection_task_stays_cancelled(self):
+        """Ending quietly does not swallow the cancellation: whoever
+        awaits the connection task sees it."""
+
+        async def main():
+            server = ServiceServer()
+            await server.start("127.0.0.1", 0)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                while not server._connections:
+                    await asyncio.sleep(0)
+                (task,) = server._connections
+                task.cancel()
+                (outcome,) = await asyncio.gather(task, return_exceptions=True)
+                writer.close()
+                await writer.wait_closed()
+                return task, outcome
+            finally:
+                await server.stop()
+
+        task, outcome = asyncio.run(main())
+        assert task.cancelled()
+        assert isinstance(outcome, asyncio.CancelledError)

@@ -1,5 +1,8 @@
 """Unit tests for the adaptive-adversary runtime."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import (
@@ -11,6 +14,7 @@ from repro.memory.register import AtomicRegister
 from repro.obs.metrics import MetricsHook, MetricsRegistry
 from repro.runtime.adaptive import (
     AdaptiveAdversary,
+    AdversaryView,
     LongestFirstAdversary,
     PendingKindAdversary,
     RandomAdaptiveAdversary,
@@ -18,6 +22,7 @@ from repro.runtime.adaptive import (
     SiftKillerAdversary,
     run_adaptive_programs,
 )
+from repro.runtime.adversary import _StaleView
 from repro.runtime.faults import CrashFault, FaultPlan, StallFault, StepHook
 from repro.runtime.operations import Read, Write
 from repro.runtime.rng import SeedTree
@@ -550,3 +555,54 @@ class TestAdaptiveUnderFullMonitorSuite:
         assert result.completed
         assert watchdog.violations
         assert all(v.monitor == "wait-freedom" for v in watchdog.violations)
+
+
+class _Proc:
+    """Just what an AdversaryView reads of a process."""
+
+    def __init__(self, operation):
+        self.pending_operation = operation
+
+
+def reference_pending_pick(priority, rotation, view):
+    """``PendingKindAdversary``'s pick as a ``min`` over one key per
+    candidate: the formula the single-pass loop replaced."""
+    ranks = {}
+    for rank, kind in enumerate(priority):
+        ranks.setdefault(kind, rank)
+    candidates = view.unfinished()
+    modulus = max(candidates) + 1
+    return min(candidates, key=lambda pid: (
+        ranks.get(view.pending_kind(pid), len(priority)) * modulus
+        + (pid + rotation) % modulus))
+
+
+class TestPendingKindSinglePass:
+    KINDS = ("read", "write", "scan", "update", "maxread", "maxwrite", None)
+    PRIORITIES = (("read", "scan", "maxread"), ("write", "update", "maxwrite"),
+                  ("read", "write", "read"), ("scan",), ())
+
+    def views(self, seed):
+        """Random live and stale views over the same kinds: sparse pid
+        sets, few distinct kinds (so ranks tie), unlisted kinds and
+        processes with no pending operation."""
+        rng = random.Random(seed)
+        for _ in range(60):
+            pids = sorted(rng.sample(range(10), rng.randint(1, 8)))
+            kinds = {pid: rng.choice(self.KINDS[:rng.randint(1, 7)])
+                     for pid in pids}
+            live = {pid: _Proc(None if kind is None
+                               else SimpleNamespace(kind=kind))
+                    for pid, kind in kinds.items()}
+            yield AdversaryView(live, {pid: 0 for pid in pids})
+            yield _StaleView({pid: (kind, None, None, 0)
+                              for pid, kind in kinds.items()})
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_picks_what_the_min_formula_picks(self, seed):
+        for view in self.views(seed):
+            for priority in self.PRIORITIES:
+                adversary = PendingKindAdversary(priority)
+                for rotation in range(1, 13):
+                    expected = reference_pending_pick(priority, rotation, view)
+                    assert adversary.choose(view) == expected

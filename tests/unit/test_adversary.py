@@ -6,10 +6,13 @@ both noise endpoints, and AdaptiveSpec's JSON/eq/hash parity with the
 other schedule-producing specs.
 """
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime.adaptive import AdaptiveSpec, make_adaptive
+from repro.memory.register import AtomicRegister
+from repro.runtime.adaptive import AdaptiveSpec, AdversaryView, make_adaptive
 from repro.runtime.adversary import (
     ADVERSARY_KINDS,
     ADVERSARY_LADDER,
@@ -18,6 +21,7 @@ from repro.runtime.adversary import (
     NoisySchedulerAdversary,
     make_adversary,
 )
+from repro.runtime.operations import Read, Write
 
 
 class _FakeView:
@@ -215,3 +219,76 @@ class TestAdaptiveSpecParity:
             AdaptiveSpec("sift-killer", seed=1)
         )
         assert AdaptiveSpec("sift-killer") != AdaptiveSpec("pending-reads")
+
+
+class _MethodView:
+    """An AdversaryView's state offered through the four view methods
+    only, as any duck-typed view would."""
+
+    def __init__(self, view):
+        self._view = view
+
+    def unfinished(self):
+        return self._view.unfinished()
+
+    def pending_operation(self, pid):
+        return self._view.pending_operation(pid)
+
+    def pending_kind(self, pid):
+        return self._view.pending_kind(pid)
+
+    def steps_taken(self, pid):
+        return self._view.steps_taken(pid)
+
+
+class _Proc:
+    def __init__(self, operation):
+        self.pending_operation = operation
+
+
+def drive_late(adversary, wrap, seed, n=5, rounds=6):
+    """Run ``adversary`` over a toy execution whose writes change shared
+    register contents; return its picks and clamp count."""
+    rng = random.Random(seed)
+    registers = [AtomicRegister(f"r[{index}]") for index in range(3)]
+
+    def operation():
+        register = rng.choice(registers)
+        if rng.random() < 0.5:
+            return Read(register)
+        return Write(register, rng.randrange(4))
+
+    live = {pid: _Proc(operation()) for pid in range(n)}
+    steps = {pid: 0 for pid in live}
+    view = AdversaryView(live, steps)
+    picks = []
+    while live:
+        pid = adversary.choose(wrap(view))
+        picks.append(pid)
+        chosen = live[pid].pending_operation
+        if isinstance(chosen, Write):
+            chosen.obj.apply(chosen, pid)
+        steps[pid] += 1
+        if steps[pid] == rounds:
+            del live[pid]
+        else:
+            live[pid].pending_operation = operation()
+    return picks, adversary.clamped
+
+
+class TestLateCapture:
+    @pytest.mark.parametrize(
+        "inner", ["pending-reads", "sift-killer", "longest-first"])
+    @pytest.mark.parametrize("delay", [0, 1, 3])
+    def test_live_view_and_method_view_agree(self, inner, delay):
+        """The capture reads a live AdversaryView's dicts in place and any
+        other view through its methods; both give the same run."""
+        for seed in range(8):
+            direct = drive_late(
+                make_adversary("late", inner=inner, delay=delay, seed=seed),
+                lambda view: view, seed)
+            through_methods = drive_late(
+                make_adversary("late", inner=inner, delay=delay, seed=seed),
+                _MethodView, seed)
+            assert direct == through_methods
+            assert len(direct[0]) == 5 * 6

@@ -167,6 +167,28 @@ class TestGeneration:
         )
 
 
+    def test_stack_draw_follows_the_registry(self):
+        """The sorted stack list is resolved once per registry state: a
+        stack registered or removed between draws is seen at once."""
+        from dataclasses import replace
+
+        from repro.fuzz.stacks import STACKS, register_stack
+
+        config = FuzzConfig()
+        before = [generate_scenario(9, index, config) for index in range(40)]
+        register_stack(replace(get_stack("sifting"), name="zz-extra"))
+        try:
+            drawn = {generate_scenario(9, index, config).stack
+                     for index in range(200)}
+            assert "zz-extra" in drawn
+        finally:
+            del STACKS["zz-extra"]
+        after = [generate_scenario(9, index, config) for index in range(40)]
+        assert after == before
+        with pytest.raises(ConfigurationError, match="unknown stack"):
+            generate_scenario(9, 0, FuzzConfig(stacks=("zz-extra",)))
+
+
 class TestMakeInputs:
     def test_known_workloads(self):
         for workload in WORKLOADS:

@@ -45,6 +45,53 @@ class TestTraceRecorder:
         assert steps_by_object(events) == {"a": 2, "b": 1}
 
 
+class TestTraceEventValue:
+    """A tuple underneath, with the frozen-dataclass interface it had."""
+
+    def test_repr(self):
+        assert repr(event(3, 1, "write", obj_name="r[0]", value=(1, "a"))) == (
+            "TraceEvent(step=3, pid=1, kind='write', obj_name='r[0]', "
+            "value=(1, 'a'), result=None)"
+        )
+
+    def test_equality_is_by_fields_and_type(self):
+        first = event(0, 1, "read", result=5)
+        assert first == event(0, 1, "read", result=5)
+        assert not first != event(0, 1, "read", result=5)
+        assert first != event(0, 1, "read", result=6)
+        items = (0, 1, "read", "r", None, 5)
+        assert tuple(first) == items
+        # A bare tuple with the same items is not an event, either way round.
+        assert first != items and items != first
+        assert not first == items and not items == first
+        assert first != 0
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        first = event(0, 1, "read", result=5)
+        assert hash(first) == hash((0, 1, "read", "r", None, 5))
+        assert len({first, event(0, 1, "read", result=5)}) == 1
+
+    def test_is_immutable(self):
+        first = event(0, 1, "read")
+        with pytest.raises(AttributeError):
+            first.pid = 2
+        with pytest.raises(AttributeError):
+            first.extra = 1
+        assert first.pid == 1
+
+    def test_dataclass_introspection(self):
+        import dataclasses
+
+        first = event(0, 1, "write", value=[1, 2])
+        assert dataclasses.is_dataclass(first)
+        assert [f.name for f in dataclasses.fields(TraceEvent)] == [
+            "step", "pid", "kind", "obj_name", "value", "result"]
+        assert dataclasses.astuple(first) == (0, 1, "write", "r", [1, 2], None)
+        assert dataclasses.asdict(first)["value"] == [1, 2]
+        assert dataclasses.replace(first, pid=4) == event(
+            0, 4, "write", value=[1, 2])
+
+
 class TestRegisterChecker:
     def test_accepts_valid_history(self):
         events = [

@@ -4,10 +4,13 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime.rng import SeedTree
+from repro.fuzz.scenario import make_inputs
 from repro.workloads.inputs import (
+    INPUT_WORKLOADS,
     all_distinct_inputs,
     binary_inputs,
     k_valued_inputs,
+    make_input,
     skewed_inputs,
     standard_input_gallery,
     unanimous_inputs,
@@ -72,6 +75,60 @@ class TestInputGenerators:
     def test_rejects_zero_processes(self):
         with pytest.raises(ConfigurationError):
             all_distinct_inputs(0)
+
+
+def reference_gallery(n, seed):
+    """The gallery as it was built before ``make_input``: all five
+    assignments from the generators, each with its own seeded stream."""
+    return {
+        "distinct": all_distinct_inputs(n),
+        "binary": binary_inputs(n, seed=seed),
+        "four-valued": k_valued_inputs(n, min(4, n), seed=seed),
+        "skewed": skewed_inputs(n, minority_count=min(2, n)),
+        "unanimous": unanimous_inputs(n),
+    }
+
+
+SEEDS = (0, 3, 2**31 - 1, 2**32, 2**32 + 5, 2**40 + 1, 2**48 - 1)
+
+
+class TestMakeInput:
+    def test_names_are_the_gallery_keys_in_order(self):
+        assert list(standard_input_gallery(4)) == list(INPUT_WORKLOADS)
+
+    @pytest.mark.parametrize("name", INPUT_WORKLOADS)
+    def test_equals_the_gallery_entry(self, name):
+        for n in range(1, 9):
+            for seed in SEEDS:
+                expected = reference_gallery(n, seed)[name]
+                assert make_input(name, n, seed) == expected, (n, seed)
+                assert standard_input_gallery(n, seed)[name] == expected
+
+    @pytest.mark.parametrize("name", INPUT_WORKLOADS)
+    def test_fuzz_inputs_reduce_the_seed_first(self, name):
+        for n in range(1, 9):
+            for seed in SEEDS:
+                expected = reference_gallery(n, seed % 2**32)[name]
+                assert make_inputs(name, n, seed) == expected, (n, seed)
+
+    def test_pinned_values(self):
+        # Computed before make_input existed; seeds >= 2**32 included.
+        assert make_input("binary", 8, 3) == [1, 0, 1, 0, 0, 1, 1, 0]
+        assert make_input("four-valued", 8, 2**32 + 5) == [
+            1, 3, 2, 0, 2, 1, 3, 2]
+        assert make_input("binary", 6, 2**40 + 1) == [1, 0, 0, 0, 1, 0]
+        assert make_inputs("four-valued", 7, 2**47 + 123) == [
+            0, 2, 0, 3, 2, 0, 0]
+        assert make_inputs("binary", 5, 2**33 + 9) == [1, 1, 1, 0, 1]
+
+    def test_rejects_an_unknown_name(self):
+        with pytest.raises(ConfigurationError, match="unknown workload"):
+            make_input("nope", 4)
+
+    def test_rejects_zero_processes(self):
+        for name in INPUT_WORKLOADS:
+            with pytest.raises(ConfigurationError):
+                make_input(name, 0)
 
 
 class TestScheduleFamilies:
