@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Reproduce every experiment (E1-E12) and emit the EXPERIMENTS.md tables.
+"""Reproduce every experiment (E1-E20) and emit the EXPERIMENTS.md tables.
 
 This is the full-scale version of what ``pytest benchmarks/`` runs quickly:
 each experiment regenerates one of the paper's quantitative claims and
@@ -16,7 +16,7 @@ import argparse
 import sys
 import time
 
-from repro.analysis.paper import ALL_EXPERIMENTS
+from repro.analysis.paper import select_experiments
 from repro.runtime.parallel import parallelism
 
 
@@ -35,15 +35,12 @@ def main() -> int:
                         help="trials per dispatch unit (default: auto)")
     args = parser.parse_args()
 
-    wanted = {token.strip().upper() for token in args.only.split(",") if token}
     tables = []
     all_ok = True
     with parallelism(workers=args.workers, chunk_size=args.chunk_size):
-        for experiment in ALL_EXPERIMENTS:
+        for experiment in select_experiments(args.only):
             started = time.time()
             table = experiment(scale=args.scale)
-            if wanted and table.experiment_id.upper() not in wanted:
-                continue
             elapsed = time.time() - started
             tables.append(table)
             print(table.render())

@@ -44,16 +44,17 @@ from typing import (
 )
 
 from repro.analysis.stats import SampleSummary, summarize, wilson_interval
-from repro.core.conciliator import Conciliator, run_conciliator
+from repro.core.conciliator import Conciliator
 from repro.core.consensus import ConsensusProtocol
 from repro.errors import CheckpointError, ConfigurationError
 from repro.memory.semantics import RegisterModel, SemanticsInjector
-from repro.obs.metrics import MetricsRegistry, get_default_registry
+from repro.obs.metrics import MetricsHook, MetricsRegistry, get_default_registry
 from repro.runtime.adaptive import AdaptiveSpec, run_adaptive_programs
 from repro.runtime.adversary import AdversarySpec
 from repro.runtime.parallel import run_indexed_trials
 from repro.runtime.results import RunResult
 from repro.runtime.rng import SeedTree
+from repro.runtime.simulator import run_programs
 from repro.runtime.vectorized import (
     BACKENDS,
     VECTOR_BACKENDS,
@@ -203,24 +204,23 @@ def _validate_sweep(trials: int, n: int) -> None:
         )
 
 
-def _trial_schedule(family: str, n: int, trial_seeds: SeedTree):
-    return make_schedule(family, n, trial_seeds.child("schedule"))
-
-
 def _resolve_backend(
     backend: str,
     *,
     what: str,
     allow_partial: Optional[bool],
     metrics: Optional[MetricsRegistry],
+    register_model: Optional[RegisterModel],
+    adversary: Optional[AdversaryLike],
 ) -> bool:
     """Validate a sweep's ``backend`` choice; True when it is vectorized.
 
     The vectorized backends batch whole trials as array programs, so the
     per-event knobs of the generator simulator do not exist there: partial
-    (starved) executions cannot arise under lockstep families, and there is
-    no per-event instrumentation for a :class:`MetricsRegistry` to observe.
-    Both are rejected loudly rather than silently ignored.
+    (starved) executions cannot arise under lockstep families, there is
+    no per-event instrumentation for a :class:`MetricsRegistry` to observe,
+    and the kernels bake in atomic registers and fixed lockstep schedules.
+    All are rejected loudly rather than silently ignored.
     """
     if backend not in BACKENDS:
         raise ConfigurationError(
@@ -245,6 +245,17 @@ def _resolve_backend(
             f"backend {backend!r} only supports conciliator sweeps; "
             "consensus protocols interleave coin-dependent phases that "
             "have no fixed per-process op sequence"
+        )
+    if register_model is not None:
+        raise ConfigurationError(
+            f"backend {backend!r} executes batched atomic-register kernels "
+            "and cannot apply a weakened register model; use the generator "
+            "backend for regular/safe semantics"
+        )
+    if adversary is not None:
+        raise ConfigurationError(
+            f"backend {backend!r} only runs fixed lockstep schedules; "
+            "adaptive/ladder adversaries need the generator backend"
         )
     return True
 
@@ -299,16 +310,6 @@ class _DecayOutcome(NamedTuple):
     metrics: Optional[Dict[str, Any]] = None
 
 
-def _resolve_metrics(metrics: Optional[MetricsRegistry]) -> Optional[MetricsRegistry]:
-    """The registry a sweep aggregates into: explicit, else session default.
-
-    Collection stays strictly opt-in: with no explicit registry and no
-    session default (:func:`repro.obs.metrics.collecting`), trials run with
-    the simulator's no-hook fast path and pay nothing.
-    """
-    return metrics if metrics is not None else get_default_registry()
-
-
 _MODEL_OVERRIDES = threading.local()
 
 
@@ -352,25 +353,6 @@ def _resolve_model(
     if register_model is not None and register_model.is_atomic:
         register_model = None
     return register_model, adversary
-
-
-def _reject_vectorized_model(
-    backend: str,
-    register_model: Optional[RegisterModel],
-    adversary: Optional[AdversaryLike],
-) -> None:
-    """The vectorized kernels bake in atomic lockstep semantics."""
-    if register_model is not None:
-        raise ConfigurationError(
-            f"backend {backend!r} executes batched atomic-register kernels "
-            "and cannot apply a weakened register model; use the generator "
-            "backend for regular/safe semantics"
-        )
-    if adversary is not None:
-        raise ConfigurationError(
-            f"backend {backend!r} only runs fixed lockstep schedules; "
-            "adaptive/ladder adversaries need the generator backend"
-        )
 
 
 def _model_run_key_suffix(
@@ -422,22 +404,125 @@ def _trial_adversary(
     return reseeded.build()
 
 
-def _fold_trial_metrics(
-    target: Optional[MetricsRegistry], outcomes: Sequence[Any]
-) -> None:
-    """Merge per-trial metric snapshots into ``target`` in trial order.
+def _sweep(
+    what: str,
+    factory: Callable[[], Any],
+    inputs: Sequence[Any],
+    measure: Callable[[Any, RunResult, Optional[MetricsRegistry]], Any],
+    fold: Callable[[str, List[Any]], Any],
+    *,
+    schedule_family: str,
+    trials: int,
+    master_seed: int,
+    workers: Optional[int],
+    chunk_size: Optional[int],
+    checkpoint_path: Optional[str],
+    resume: bool,
+    metrics: Optional[MetricsRegistry],
+    backend: str,
+    allow_partial: Optional[bool] = None,
+    register_model: Optional[RegisterModel] = None,
+    adversary: Optional[AdversaryLike] = None,
+) -> Any:
+    """The one trial-sweep path behind every public runner.
 
-    Each trial records into a fresh registry inside its (possibly forked)
-    worker and ships back a JSON snapshot; folding the snapshots by trial
-    index — never by worker or completion order — keeps the aggregate
-    registry bit-identical across all worker counts, matching the parallel
-    contract the sweep statistics already obey.
+    Validates the request, resolves the model axes and the backend, and
+    builds the run key.  The vectorized backends run as one
+    :func:`run_vectorized_sweep` call, read back as conciliator stats or,
+    for decay, as the mean survivor series.  On the generator backend
+    each trial builds a fresh protocol, its model hooks and (when
+    collecting) a :class:`MetricsHook` last, runs under its schedule or
+    its choosing adversary, and hands ``measure(protocol, result,
+    registry)`` its outcome record; ``fold(kind, outcomes)`` aggregates
+    the trial-ordered records once their metrics snapshots are folded
+    into the sweep's registry.
     """
-    if target is None:
-        return
-    for outcome in outcomes:
-        if outcome.metrics is not None:
-            target.merge_snapshot(outcome.metrics)
+    _validate_sweep(trials, len(inputs))
+    _resolve_checkpoint(checkpoint_path, resume)
+    register_model, adversary = _resolve_model(register_model, adversary)
+    vectorized = _resolve_backend(
+        backend, what=what, allow_partial=allow_partial, metrics=metrics,
+        register_model=register_model, adversary=adversary,
+    )
+    kind = _protocol_kind(factory())
+    key = (
+        f"kind={kind}|n={len(inputs)}|trials={trials}"
+        f"|seed={master_seed}|schedule={schedule_family}"
+    )
+    if vectorized:
+        sweep = run_vectorized_sweep(
+            factory,
+            inputs,
+            schedule_family=schedule_family,
+            trials=trials,
+            master_seed=master_seed,
+            oracle=backend == "vectorized-oracle",
+            workers=workers,
+            chunk_size=chunk_size,
+            checkpoint_path=checkpoint_path,
+            run_key=f"{what}|backend={backend}|{key}",
+            collect_survivors=what == "decay",
+        )
+        return sweep.decay_series() if what == "decay" else sweep.stats()
+    if allow_partial is None:
+        allow_partial = schedule_family == "crash-half"
+    inputs = list(inputs)
+    # Explicit registry, else the session default of
+    # repro.obs.metrics.collecting(); with neither, trials run the
+    # simulator's no-hook fast path and pay nothing.
+    registry = metrics if metrics is not None else get_default_registry()
+    collect = registry is not None
+    run_key = (
+        f"{what}|{key}"
+        # Decay has no allow_partial knob (the family decides it), so its
+        # keys never carried the segment.
+        + ("" if what == "decay" else f"|partial={int(allow_partial)}")
+        + ("|metrics=1" if collect else "")
+        + _model_run_key_suffix(register_model, adversary)
+    )
+
+    def task(trial: int) -> Any:
+        trial_seeds = trial_seed_tree(master_seed, trial)
+        protocol = factory()
+        programs = [protocol.program] * protocol.n
+        trial_registry = MetricsRegistry() if collect else None
+        hooks = _trial_model_hooks(register_model, trial_seeds, trial_registry)
+        if trial_registry is not None:
+            hooks.append(MetricsHook(trial_registry))
+        if adversary is None:
+            schedule = make_schedule(
+                schedule_family, protocol.n, trial_seeds.child("schedule")
+            )
+            result = run_programs(
+                programs, schedule, trial_seeds, inputs=inputs,
+                allow_partial=allow_partial, hooks=hooks,
+            )
+        else:
+            result = run_adaptive_programs(
+                programs, _trial_adversary(adversary, trial_seeds),
+                trial_seeds, inputs=inputs, hooks=hooks,
+            )
+        outcome = measure(protocol, result, trial_registry)
+        if trial_registry is None:
+            return outcome
+        return outcome._replace(metrics=trial_registry.to_json())
+
+    outcomes = run_indexed_trials(
+        task,
+        trials,
+        workers=workers,
+        chunk_size=chunk_size,
+        checkpoint_path=checkpoint_path,
+        run_key=run_key,
+    )
+    if registry is not None:
+        # Each trial recorded into a fresh registry in its (possibly
+        # forked) worker; folding the snapshots by trial index, never by
+        # worker or completion order, keeps the aggregate bit-identical
+        # across worker counts, as the sweep statistics are.
+        for outcome in outcomes:
+            registry.merge_snapshot(outcome.metrics)
+    return fold(kind, outcomes)
 
 
 def run_conciliator_trials(
@@ -502,123 +587,35 @@ def run_conciliator_trials(
     sweep falls back to the session default installed by
     :func:`repro.obs.metrics.collecting`, and collects nothing otherwise.
     """
-    _validate_sweep(trials, len(inputs))
-    _resolve_checkpoint(checkpoint_path, resume)
-    register_model, adversary = _resolve_model(register_model, adversary)
-    vectorized = _resolve_backend(
-        backend, what="conciliator", allow_partial=allow_partial,
-        metrics=metrics,
-    )
-    if vectorized:
-        _reject_vectorized_model(backend, register_model, adversary)
-        kind = _protocol_kind(factory())
-        run_key = (
-            f"conciliator|backend={backend}|kind={kind}|n={len(inputs)}"
-            f"|trials={trials}|seed={master_seed}|schedule={schedule_family}"
-        )
-        sweep = run_vectorized_sweep(
-            factory,
-            inputs,
-            schedule_family=schedule_family,
-            trials=trials,
-            master_seed=master_seed,
-            oracle=backend == "vectorized-oracle",
-            workers=workers,
-            chunk_size=chunk_size,
-            checkpoint_path=checkpoint_path,
-            run_key=run_key,
-        )
-        return sweep.stats()
-    if allow_partial is None:
-        allow_partial = schedule_family == "crash-half"
-    inputs = list(inputs)
     input_map = dict(enumerate(inputs))
-    kind = _protocol_kind(factory())
-    registry = _resolve_metrics(metrics)
-    collect = registry is not None
-    run_key = (
-        f"conciliator|kind={kind}|n={len(inputs)}|trials={trials}"
-        f"|seed={master_seed}|schedule={schedule_family}"
-        f"|partial={int(allow_partial)}"
-        + ("|metrics=1" if collect else "")
-        + _model_run_key_suffix(register_model, adversary)
-    )
 
-    def task(trial: int) -> _ConciliatorOutcome:
-        trial_seeds = trial_seed_tree(master_seed, trial)
-        conciliator = factory()
-        trial_registry = MetricsRegistry() if collect else None
-        hooks = _trial_model_hooks(
-            register_model, trial_seeds, trial_registry
-        )
-        if adversary is not None:
-            if trial_registry is not None:
-                from repro.obs.metrics import MetricsHook
-
-                hooks = hooks + [MetricsHook(trial_registry)]
-            result = run_adaptive_programs(
-                [conciliator.program] * len(inputs),
-                _trial_adversary(adversary, trial_seeds),
-                trial_seeds,
-                inputs=list(inputs),
-                hooks=hooks,
-            )
-        else:
-            schedule = _trial_schedule(
-                schedule_family, conciliator.n, trial_seeds
-            )
-            result = _run_one_conciliator(
-                conciliator, inputs, schedule, trial_seeds, allow_partial,
-                metrics=trial_registry, hooks=hooks,
-            )
+    def measure(conciliator: Conciliator, result: RunResult,
+                registry: Optional[MetricsRegistry]) -> _ConciliatorOutcome:
         return _ConciliatorOutcome(
             agreement=int(result.agreement),
             validity_failure=int(not result.validity_holds(input_map)),
             individual_steps=float(result.max_individual_steps),
             total_steps=float(result.total_steps),
-            metrics=None if trial_registry is None else trial_registry.to_json(),
         )
 
-    outcomes = run_indexed_trials(
-        task,
-        trials,
-        workers=workers,
-        chunk_size=chunk_size,
-        checkpoint_path=checkpoint_path,
-        run_key=run_key,
-    )
-    _fold_trial_metrics(registry, outcomes)
-    return ConciliatorTrialStats(
-        n=len(inputs),
-        trials=trials,
-        agreement_count=sum(o.agreement for o in outcomes),
-        individual_steps=summarize([o.individual_steps for o in outcomes]),
-        total_steps=summarize([o.total_steps for o in outcomes]),
-        validity_failures=sum(o.validity_failure for o in outcomes),
-        kind=kind,
-    )
+    def fold(kind: str, outcomes: List[_ConciliatorOutcome]) -> ConciliatorTrialStats:
+        return ConciliatorTrialStats(
+            n=len(inputs),
+            trials=trials,
+            agreement_count=sum(o.agreement for o in outcomes),
+            individual_steps=summarize([o.individual_steps for o in outcomes]),
+            total_steps=summarize([o.total_steps for o in outcomes]),
+            validity_failures=sum(o.validity_failure for o in outcomes),
+            kind=kind,
+        )
 
-
-def _run_one_conciliator(
-    conciliator: Conciliator,
-    inputs: Sequence[Any],
-    schedule,
-    trial_seeds: SeedTree,
-    allow_partial: bool,
-    metrics: Optional[MetricsRegistry] = None,
-    hooks: Sequence[Any] = (),
-) -> RunResult:
-    from repro.runtime.simulator import run_programs
-
-    programs = [conciliator.program] * len(inputs)
-    return run_programs(
-        programs,
-        schedule,
-        trial_seeds,
-        inputs=list(inputs),
-        allow_partial=allow_partial,
-        metrics=metrics,
-        hooks=list(hooks),
+    return _sweep(
+        "conciliator", factory, inputs, measure, fold,
+        schedule_family=schedule_family, trials=trials,
+        master_seed=master_seed, workers=workers, chunk_size=chunk_size,
+        checkpoint_path=checkpoint_path, resume=resume, metrics=metrics,
+        backend=backend, allow_partial=allow_partial,
+        register_model=register_model, adversary=adversary,
     )
 
 
@@ -650,96 +647,43 @@ def run_consensus_trials(
     occurrence-time factorization the vectorized kernels exploit does not
     exist (the vectorized backends are rejected with a clear error).
     """
-    _validate_sweep(trials, len(inputs))
-    _resolve_checkpoint(checkpoint_path, resume)
-    register_model, adversary = _resolve_model(register_model, adversary)
-    _resolve_backend(
-        backend, what="consensus", allow_partial=allow_partial,
-        metrics=metrics,
-    )
-    if allow_partial is None:
-        allow_partial = schedule_family == "crash-half"
-    inputs = list(inputs)
     input_map = dict(enumerate(inputs))
-    kind = _protocol_kind(factory())
-    registry = _resolve_metrics(metrics)
-    collect = registry is not None
-    run_key = (
-        f"consensus|kind={kind}|n={len(inputs)}|trials={trials}"
-        f"|seed={master_seed}|schedule={schedule_family}"
-        f"|partial={int(allow_partial)}"
-        + ("|metrics=1" if collect else "")
-        + _model_run_key_suffix(register_model, adversary)
-    )
 
-    def task(trial: int) -> _ConsensusOutcome:
-        from repro.runtime.simulator import run_programs
-
-        trial_seeds = trial_seed_tree(master_seed, trial)
-        protocol = factory()
-        programs = [protocol.program] * protocol.n
-        trial_registry = MetricsRegistry() if collect else None
-        hooks = _trial_model_hooks(
-            register_model, trial_seeds, trial_registry
-        )
-        if adversary is not None:
-            if trial_registry is not None:
-                from repro.obs.metrics import MetricsHook
-
-                hooks = hooks + [MetricsHook(trial_registry)]
-            result = run_adaptive_programs(
-                programs,
-                _trial_adversary(adversary, trial_seeds),
-                trial_seeds,
-                inputs=list(inputs),
-                hooks=hooks,
-            )
-        else:
-            schedule = _trial_schedule(
-                schedule_family, protocol.n, trial_seeds
-            )
-            result = run_programs(
-                programs,
-                schedule,
-                trial_seeds,
-                inputs=list(inputs),
-                allow_partial=allow_partial,
-                metrics=trial_registry,
-                hooks=hooks,
-            )
+    def measure(protocol: ConsensusProtocol, result: RunResult,
+                registry: Optional[MetricsRegistry]) -> _ConsensusOutcome:
         phases: Optional[float] = None
         if protocol.phases_used:
             phases = float(max(protocol.phases_used.values()))
-        if trial_registry is not None and phases is not None:
-            trial_registry.histogram("consensus.phases").observe(phases)
+            if registry is not None:
+                registry.histogram("consensus.phases").observe(phases)
         return _ConsensusOutcome(
             agreement_failure=int(not result.agreement),
             validity_failure=int(not result.validity_holds(input_map)),
             individual_steps=float(result.max_individual_steps),
             total_steps=float(result.total_steps),
             phases=phases,
-            metrics=None if trial_registry is None else trial_registry.to_json(),
         )
 
-    outcomes = run_indexed_trials(
-        task,
-        trials,
-        workers=workers,
-        chunk_size=chunk_size,
-        checkpoint_path=checkpoint_path,
-        run_key=run_key,
-    )
-    _fold_trial_metrics(registry, outcomes)
-    phase_samples = [o.phases for o in outcomes if o.phases is not None]
-    return ConsensusTrialStats(
-        n=len(inputs),
-        trials=trials,
-        agreement_failures=sum(o.agreement_failure for o in outcomes),
-        validity_failures=sum(o.validity_failure for o in outcomes),
-        individual_steps=summarize([o.individual_steps for o in outcomes]),
-        total_steps=summarize([o.total_steps for o in outcomes]),
-        phases=summarize(phase_samples if phase_samples else [0.0]),
-        kind=kind,
+    def fold(kind: str, outcomes: List[_ConsensusOutcome]) -> ConsensusTrialStats:
+        phase_samples = [o.phases for o in outcomes if o.phases is not None]
+        return ConsensusTrialStats(
+            n=len(inputs),
+            trials=trials,
+            agreement_failures=sum(o.agreement_failure for o in outcomes),
+            validity_failures=sum(o.validity_failure for o in outcomes),
+            individual_steps=summarize([o.individual_steps for o in outcomes]),
+            total_steps=summarize([o.total_steps for o in outcomes]),
+            phases=summarize(phase_samples if phase_samples else [0.0]),
+            kind=kind,
+        )
+
+    return _sweep(
+        "consensus", factory, inputs, measure, fold,
+        schedule_family=schedule_family, trials=trials,
+        master_seed=master_seed, workers=workers, chunk_size=chunk_size,
+        checkpoint_path=checkpoint_path, resume=resume, metrics=metrics,
+        backend=backend, allow_partial=allow_partial,
+        register_model=register_model, adversary=adversary,
     )
 
 
@@ -766,73 +710,32 @@ def decay_series(
     :func:`run_conciliator_trials`, and ``backend`` selects the execution
     engine under the same rules (the vectorized kernels track per-round
     survivor rows, so the folded series has the same shape; in oracle mode
-    it is bit-identical to the generator's).
+    it is bit-identical to the generator's).  The model axes follow the
+    session overrides of :func:`model_overrides`, and ``crash-half`` runs
+    partial executions, both as in :func:`run_conciliator_trials`.
     """
-    _validate_sweep(trials, len(inputs))
-    _resolve_checkpoint(checkpoint_path, resume)
-    vectorized = _resolve_backend(
-        backend, what="decay", allow_partial=None, metrics=metrics,
-    )
-    if vectorized:
-        kind = _protocol_kind(factory())
-        run_key = (
-            f"decay|backend={backend}|kind={kind}|n={len(inputs)}"
-            f"|trials={trials}|seed={master_seed}|schedule={schedule_family}"
-        )
-        sweep = run_vectorized_sweep(
-            factory,
-            inputs,
-            schedule_family=schedule_family,
-            trials=trials,
-            master_seed=master_seed,
-            oracle=backend == "vectorized-oracle",
-            workers=workers,
-            chunk_size=chunk_size,
-            checkpoint_path=checkpoint_path,
-            run_key=run_key,
-            collect_survivors=True,
-        )
-        return sweep.decay_series()
-    inputs = list(inputs)
-    kind = _protocol_kind(factory())
-    registry = _resolve_metrics(metrics)
-    collect = registry is not None
-    run_key = (
-        f"decay|kind={kind}|n={len(inputs)}|trials={trials}"
-        f"|seed={master_seed}|schedule={schedule_family}"
-        + ("|metrics=1" if collect else "")
-    )
 
-    def task(trial: int) -> _DecayOutcome:
-        trial_seeds = trial_seed_tree(master_seed, trial)
-        conciliator = factory()
-        schedule = _trial_schedule(schedule_family, conciliator.n, trial_seeds)
-        trial_registry = MetricsRegistry() if collect else None
-        run_conciliator(
-            conciliator, inputs, schedule, trial_seeds, metrics=trial_registry
-        )
+    def measure(conciliator: Conciliator, result: RunResult,
+                registry: Optional[MetricsRegistry]) -> _DecayOutcome:
         series = list(conciliator.survivor_series())
-        if trial_registry is not None:
-            trial_registry.histogram("conciliator.rounds").observe(len(series))
-        return _DecayOutcome(
-            series=series,
-            metrics=None if trial_registry is None else trial_registry.to_json(),
-        )
+        if registry is not None:
+            registry.histogram("conciliator.rounds").observe(len(series))
+        return _DecayOutcome(series=series)
 
-    outcomes = run_indexed_trials(
-        task,
-        trials,
-        workers=workers,
-        chunk_size=chunk_size,
-        checkpoint_path=checkpoint_path,
-        run_key=run_key,
+    def fold(kind: str, outcomes: List[_DecayOutcome]) -> List[float]:
+        sums: Dict[int, float] = {}
+        rounds_seen = 0
+        for outcome in outcomes:
+            series = outcome.series
+            rounds_seen = max(rounds_seen, len(series))
+            for index, count in enumerate(series):
+                sums[index] = sums.get(index, 0.0) + count
+        return [sums.get(index, 0.0) / trials for index in range(rounds_seen)]
+
+    return _sweep(
+        "decay", factory, inputs, measure, fold,
+        schedule_family=schedule_family, trials=trials,
+        master_seed=master_seed, workers=workers, chunk_size=chunk_size,
+        checkpoint_path=checkpoint_path, resume=resume, metrics=metrics,
+        backend=backend,
     )
-    _fold_trial_metrics(registry, outcomes)
-    sums: Dict[int, float] = {}
-    rounds_seen = 0
-    for outcome in outcomes:
-        series = outcome.series
-        rounds_seen = max(rounds_seen, len(series))
-        for index, count in enumerate(series):
-            sums[index] = sums.get(index, 0.0) + count
-    return [sums.get(index, 0.0) / trials for index in range(rounds_seen)]

@@ -1,4 +1,4 @@
-"""The paper's experiments, E1-E12, as reusable table builders.
+"""The paper's experiments, E1-E20, as reusable table builders.
 
 Each function reproduces one claim from the paper (see DESIGN.md's
 experiment index) and returns an :class:`ExperimentTable` pairing the
@@ -42,10 +42,13 @@ from repro.core.probabilities import paper_sift_p, sift_p_schedule
 from repro.core.rounds import log_star, sifting_rounds, snapshot_rounds
 from repro.core.sifting_conciliator import SiftingConciliator
 from repro.core.snapshot_conciliator import SnapshotConciliator
+from repro.errors import ConfigurationError
 from repro.runtime.rng import SeedTree
 from repro.workloads.schedules import make_schedule
 
-__all__ = ["ExperimentTable", "ALL_EXPERIMENTS"] + [f"e{i}" for i in range(1, 21)]
+__all__ = ["ExperimentTable", "ALL_EXPERIMENTS", "select_experiments"] + [
+    f"e{i}" for i in range(1, 21)
+]
 
 
 @dataclass
@@ -1038,6 +1041,28 @@ ALL_EXPERIMENTS: Sequence[Callable[..., ExperimentTable]] = (
     e19_worst_schedule_search,
     e20_phase_distribution,
 )
+
+
+def select_experiments(only: str = "") -> List[Callable[..., ExperimentTable]]:
+    """The builders a comma-separated id list names (``"E1,e5"``), in
+    paper order; every builder when ``only`` is empty.
+
+    Selecting before anything runs means one table costs one table, not
+    twenty.  An unknown id raises :class:`ConfigurationError` rather than
+    selecting nothing.
+    """
+    by_id = {f"E{index}": builder
+             for index, builder in enumerate(ALL_EXPERIMENTS, 1)}
+    wanted = {token.strip().upper() for token in only.split(",")} - {""}
+    unknown = sorted(wanted - set(by_id))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown experiment id(s) {', '.join(unknown)}; "
+            f"choose from E1-E{len(by_id)}"
+        )
+    return [builder for experiment_id, builder in by_id.items()
+            if not wanted or experiment_id in wanted]
+
 
 # Aliases matching the experiment ids.
 e1 = e1_snapshot_decay

@@ -845,9 +845,9 @@ def _cmd_tas(args: argparse.Namespace) -> int:
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import model_overrides
-    from repro.analysis.paper import ALL_EXPERIMENTS
+    from repro.analysis.paper import select_experiments
 
-    wanted = {token.strip().upper() for token in args.only.split(",") if token}
+    builders = select_experiments(args.only)
     register_model, adversary = _parse_model_arguments(args)
     all_ok = True
     # The experiment builders call the trial runners with default sharding
@@ -856,10 +856,8 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     with parallelism(workers=args.workers, chunk_size=args.chunk_size), \
             model_overrides(register_model=register_model,
                             adversary=adversary):
-        for experiment in ALL_EXPERIMENTS:
+        for experiment in builders:
             table = experiment(scale=args.scale)
-            if wanted and table.experiment_id.upper() not in wanted:
-                continue
             print(table.render())
             print()
             all_ok = all_ok and table.shape_holds

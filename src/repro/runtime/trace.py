@@ -11,7 +11,7 @@ the last write, snapshot views nest, max registers are monotone).  This turns
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple
 
 from repro.errors import ProtocolViolationError
 
@@ -123,17 +123,15 @@ def check_register_semantics(events: List[TraceEvent], initial: Any = None) -> N
 def check_snapshot_semantics(events: List[TraceEvent], n: int) -> None:
     """Verify snapshot semantics along a trace.
 
-    Every ``scan`` must return exactly the vector of latest updates, and the
-    set of non-empty components must therefore be non-decreasing between
-    scans (views nest — the property Lemma 1's proof relies on).
+    Every ``scan`` must return exactly the vector of latest updates.  That
+    equality also makes views nest (the property Lemma 1's proof relies
+    on): components are never erased, so a scan that drops a component an
+    earlier scan saw returns the wrong vector and is rejected.
     """
     components: List[Any] = [None] * n
-    written = [False] * n
-    previous_filled: Optional[Tuple[int, ...]] = None
     for event in events:
         if event.kind == "update":
             components[event.pid] = event.value
-            written[event.pid] = True
         elif event.kind == "scan":
             expected = tuple(components)
             if tuple(event.result) != expected:
@@ -141,13 +139,6 @@ def check_snapshot_semantics(events: List[TraceEvent], n: int) -> None:
                     f"snapshot {event.obj_name}: scan at step {event.step} "
                     f"returned {event.result!r}, expected {expected!r}"
                 )
-            filled = tuple(i for i in range(n) if written[i])
-            if previous_filled is not None and not set(previous_filled) <= set(filled):
-                raise ProtocolViolationError(
-                    f"snapshot {event.obj_name}: views do not nest at step "
-                    f"{event.step}"
-                )
-            previous_filled = filled
 
 
 def check_max_register_semantics(events: List[TraceEvent]) -> None:

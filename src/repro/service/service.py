@@ -75,7 +75,11 @@ from repro.service.session import (
     SessionResponse,
 )
 from repro.service.spans import Span, SpanRecorder, attribute_phases
-from repro.service.workers import execute_session, vectorized_eligible
+from repro.service.workers import (
+    ALGORITHMS,
+    execute_session,
+    vectorized_eligible,
+)
 
 __all__ = ["ConsensusService", "ServiceConfig"]
 
@@ -346,8 +350,17 @@ class ConsensusService:
         a client hanging up at that loop time: the service still finishes
         the work (capacity is spent either way — the real cost of drops),
         but a completion after the hangup is reported as
-        ``failed/client-drop`` because nobody received it.
+        ``failed/client-drop`` because nobody received it.  An unknown
+        algorithm raises :class:`ConfigurationError` before admission.
         """
+        # Refused before the breaker or any counter sees it, as
+        # SessionRequest refuses an unknown family: no worker can run the
+        # session, so admitting it would only spend a slot and an attempt.
+        if request.algorithm not in ALGORITHMS:
+            raise ConfigurationError(
+                f"unknown algorithm {request.algorithm!r}; "
+                f"choose from {tuple(sorted(ALGORITHMS))}"
+            )
         loop = asyncio.get_running_loop()
         now = loop.time()
         shard_index = self.shard_for(request.session_id)

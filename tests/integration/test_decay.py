@@ -109,3 +109,27 @@ class TestSiftingDecay:
         )
         tail = series[switch:]
         assert tail[-1] <= tail[0] + 1e-9
+
+
+class TestCrashHalfDecay:
+    def test_runs_the_partial_executions_of_the_conciliator_sweep(self):
+        """Under ``crash-half`` the victims never finish, so decay runs
+        partial executions with the conciliator runner's default: the
+        same seeded executions, hence the same folded simulator metrics
+        (decay adds only its rounds histogram)."""
+        from repro.analysis.experiments import run_conciliator_trials
+        from repro.obs.metrics import MetricsRegistry
+
+        n = 8
+        sweep = dict(schedule_family="crash-half", trials=10,
+                     master_seed=17, workers=1)
+        decay_metrics = MetricsRegistry()
+        series = decay_series(lambda: SiftingConciliator(n), list(range(n)),
+                              metrics=decay_metrics, **sweep)
+        conciliator_metrics = MetricsRegistry()
+        run_conciliator_trials(lambda: SiftingConciliator(n), list(range(n)),
+                               metrics=conciliator_metrics, **sweep)
+        seen = decay_metrics.to_json()
+        del seen["histograms"]["conciliator.rounds"]
+        assert seen == conciliator_metrics.to_json()
+        assert series and all(1.0 <= survivors <= n for survivors in series)

@@ -98,9 +98,15 @@ class TestWireProtocol:
         assert replies[1]["status"] == "completed"
 
     def test_unknown_algorithm_is_the_clients_fault(self):
-        replies = talk([request_line(0, algorithm="no-such")])
-        assert "error" in replies[0]
+        replies = talk([request_line(0, algorithm="no-such"),
+                        request_line(1), json.dumps({"cmd": "stats"})])
+        assert sorted(replies[0]) == ["error", "session_id"]
+        assert replies[0]["error"].startswith("unknown algorithm 'no-such'")
         assert replies[0]["session_id"] == 0
+        # The connection survived, and only the valid session was served.
+        assert replies[1]["status"] == "completed"
+        assert replies[2]["sessions"]["completed"] == 1
+        assert not replies[2]["sessions"]["failed"]
 
     def test_oversized_line_gets_an_error_reply_not_a_traceback(self):
         """A request over the StreamReader's 64 KiB line limit raises

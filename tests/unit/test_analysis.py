@@ -368,6 +368,20 @@ class TestSweepValidation:
         with pytest.raises(ConfigurationError, match="at least 2"):
             decay_series(lambda: SiftingConciliator(2), [0], trials=5)
 
+    def test_inputs_must_match_the_protocol_size(self):
+        """Six inputs for an 8-process protocol are refused by every
+        runner, never run as a smaller system."""
+        from repro.errors import SimulationError
+
+        for run, factory in (
+            (run_conciliator_trials, lambda: SiftingConciliator(8)),
+            (decay_series, lambda: SiftingConciliator(8)),
+            (run_consensus_trials,
+             lambda: register_consensus(8, value_domain=range(8))),
+        ):
+            with pytest.raises(SimulationError, match="6 inputs for 8"):
+                run(factory, list(range(6)), trials=2, workers=1)
+
 
 class TestMergeStats:
     """Pooling disjoint sweeps via SampleSummary.merge."""

@@ -150,6 +150,39 @@ class TestExperimentsCommand:
         assert "[E12]" in output
         assert "[E1]" not in output
 
+    @staticmethod
+    def _stub_builders(monkeypatch):
+        """Replace the twenty builders with stubs that log their calls."""
+        from repro.analysis import paper
+
+        called = []
+
+        def stub(experiment_id):
+            def build(scale):
+                called.append(experiment_id)
+                return paper.ExperimentTable(experiment_id, "stub", ["x"],
+                                             [[1]])
+            return build
+
+        monkeypatch.setattr(paper, "ALL_EXPERIMENTS",
+                            tuple(stub(f"E{index}") for index in range(1, 21)))
+        return called
+
+    def test_only_builds_the_selected_tables(self, monkeypatch, capsys):
+        called = self._stub_builders(monkeypatch)
+        assert main(["experiments", "--only", "e12"]) == 0
+        assert called == ["E12"]
+        assert main(["experiments", "--only", "E6, E1"]) == 0
+        assert called == ["E12", "E1", "E6"]
+        assert "[E6]" in capsys.readouterr().out
+
+    def test_unknown_id_is_refused_before_anything_runs(self, monkeypatch,
+                                                        capsys):
+        called = self._stub_builders(monkeypatch)
+        assert main(["experiments", "--only", "E1,E99"]) == 2
+        assert called == []
+        assert "unknown experiment id(s) E99" in capsys.readouterr().err
+
 
 class TestParallelFlags:
     def test_defaults_are_serial(self):

@@ -139,6 +139,19 @@ class TestConfigValidation:
             ServiceConfig(**kwargs)
 
 
+class TestAdmission:
+    def test_unknown_algorithm_is_refused_before_admission(self):
+        service = ConsensusService(ServiceConfig(seed=0))
+        with pytest.raises(ConfigurationError, match="unknown algorithm"):
+            submit_all(service, [request(0, algorithm="nope")])
+        counters = service.metrics.to_json()["counters"]
+        assert counters.get("service.admitted", 0) == 0
+        assert counters.get("service.attempts", 0) == 0
+        assert service.total_occupancy == 0
+        # The service is untouched: the next session is served as usual.
+        assert submit_all(service, [request(1)])[0].status == "completed"
+
+
 class TestHappyPath:
     def test_sessions_complete_with_results(self):
         service = ConsensusService(ServiceConfig(seed=0))

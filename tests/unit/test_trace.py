@@ -134,6 +134,17 @@ class TestSnapshotChecker:
         with pytest.raises(ProtocolViolationError, match="scan at step 1"):
             check_snapshot_semantics(events, n=2)
 
+    def test_rejects_view_that_drops_a_seen_component(self):
+        """Views that fail to nest are caught by the equality check: the
+        second scan loses the component the first one saw."""
+        events = [
+            event(0, 0, "update", value="x"),
+            event(1, 1, "scan", result=("x", None)),
+            event(2, 1, "scan", result=(None, None)),
+        ]
+        with pytest.raises(ProtocolViolationError, match="scan at step 2"):
+            check_snapshot_semantics(events, n=2)
+
 
 class TestMaxRegisterChecker:
     def test_accepts_monotone_history(self):
