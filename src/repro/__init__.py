@@ -92,7 +92,6 @@ from repro.runtime import (
     Schedule,
     SeedTree,
     Simulator,
-    StutterSchedule,
     Update,
     Write,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "BlockSchedule",
     "FrontRunnerSchedule",
     "CrashSchedule",
-    "StutterSchedule",
     "Simulator",
     "Process",
     "ProcessContext",

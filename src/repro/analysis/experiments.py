@@ -60,7 +60,7 @@ from repro.runtime.vectorized import (
     VECTOR_BACKENDS,
     run_vectorized_sweep,
 )
-from repro.workloads.schedules import make_schedule
+from repro.workloads.schedules import PARTIAL_FAMILIES, make_schedule
 
 __all__ = [
     "ConciliatorTrialStats",
@@ -465,7 +465,7 @@ def _sweep(
         )
         return sweep.decay_series() if what == "decay" else sweep.stats()
     if allow_partial is None:
-        allow_partial = schedule_family == "crash-half"
+        allow_partial = schedule_family in PARTIAL_FAMILIES
     inputs = list(inputs)
     # Explicit registry, else the session default of
     # repro.obs.metrics.collecting(); with neither, trials run the

@@ -70,6 +70,7 @@ from repro.service.loadgen import PROFILES
 from repro.workloads.inputs import INPUT_WORKLOADS, make_input
 from repro.workloads.schedules import (
     ALL_SCHEDULE_FAMILIES,
+    PARTIAL_FAMILIES,
     make_schedule,
 )
 from repro.workloads.search import SEARCH_STRATEGIES
@@ -692,8 +693,7 @@ def _cmd_consensus(args: argparse.Namespace) -> int:
 
     seeds = SeedTree(args.seed)
     schedule = make_schedule(args.schedule, args.n, seeds.child("schedule"))
-    allow_partial = args.schedule == "crash-half"
-    if allow_partial:
+    if args.schedule in PARTIAL_FAMILIES:
         programs = [protocol.program] * args.n
         result = run_programs(programs, schedule, seeds, inputs=list(inputs),
                               allow_partial=True)

@@ -84,7 +84,6 @@ from repro.runtime.scheduler import (
     ReversedRoundRobinSchedule,
     RoundRobinSchedule,
     Schedule,
-    StutterSchedule,
 )
 from repro.runtime.simulator import Simulator
 from repro.runtime.trace import TraceEvent, TraceRecorder
@@ -109,7 +108,6 @@ __all__ = [
     "BlockSchedule",
     "FrontRunnerSchedule",
     "CrashSchedule",
-    "StutterSchedule",
     "LimitedSchedule",
     "Simulator",
     "ParallelConfig",

@@ -304,6 +304,8 @@ def run_indexed_trials(
         backoff = config.backoff
     if backoff < 0:
         raise ConfigurationError(f"backoff must be >= 0, got {backoff}")
+    if chunk_size is not None and chunk_size < 1:
+        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
     if trials == 0:
         return []
     worker_count = min(worker_count, trials)

@@ -26,8 +26,8 @@ test suite and the benchmark harness:
 - :class:`CrashSchedule` — wraps another schedule and stops scheduling a set
   of processes after a step budget, modelling crash failures (wait-freedom
   means the survivors must still terminate);
-- :class:`StutterSchedule` — repeats each slot of a base schedule, creating
-  long per-process runs with the base schedule's structure;
+- :class:`LimitedSchedule` — truncates a base schedule after a slot budget
+  (``n * rounds`` slots of round-robin are ``rounds`` full passes);
 - :class:`ExplicitSchedule` — a literal list of pids, for targeted tests.
 
 All schedules are reusable: ``iter(schedule)`` always restarts from the
@@ -43,7 +43,6 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.jsonio import expect_versioned
-from repro.runtime.rng import SeedTree
 
 __all__ = [
     "Schedule",
@@ -56,7 +55,7 @@ __all__ = [
     "BlockSchedule",
     "FrontRunnerSchedule",
     "CrashSchedule",
-    "StutterSchedule",
+    "LimitedSchedule",
 ]
 
 
@@ -163,35 +162,27 @@ class ExplicitSchedule(Schedule):
 
 
 class RoundRobinSchedule(Schedule):
-    """Processes take turns in id order: 0, 1, ..., n-1, 0, 1, ...
+    """Processes take turns in id order forever: 0, 1, ..., n-1, 0, 1, ...
 
-    With ``rounds=None`` the schedule is infinite (the adversary never
-    starves anyone); otherwise it ends after ``rounds`` full passes.
+    The adversary never starves anyone; wrap it in :class:`LimitedSchedule`
+    for a fixed number of passes.
     """
 
-    def __init__(self, n: int, rounds: Optional[int] = None):
+    def __init__(self, n: int):
         self.n = _check_n(n)
-        self.rounds = rounds
 
     def __iter__(self) -> Iterator[int]:
-        passes = itertools.count() if self.rounds is None else range(self.rounds)
-        for _ in passes:
-            for pid in range(self.n):
-                yield pid
+        return itertools.cycle(range(self.n))
 
 
 class ReversedRoundRobinSchedule(Schedule):
     """Round-robin in decreasing id order: n-1, ..., 1, 0, n-1, ..."""
 
-    def __init__(self, n: int, rounds: Optional[int] = None):
+    def __init__(self, n: int):
         self.n = _check_n(n)
-        self.rounds = rounds
 
     def __iter__(self) -> Iterator[int]:
-        passes = itertools.count() if self.rounds is None else range(self.rounds)
-        for _ in passes:
-            for pid in range(self.n - 1, -1, -1):
-                yield pid
+        return itertools.cycle(range(self.n - 1, -1, -1))
 
 
 class PermutedRoundRobinSchedule(Schedule):
@@ -280,24 +271,19 @@ class BlockSchedule(Schedule):
 
 
 class FrontRunnerSchedule(Schedule):
-    """One process runs ``lead_steps`` solo, then round-robin over everyone.
+    """Process 0 runs ``4n`` steps solo, then round-robin over everyone.
 
     This is the adversary that maximizes the chance that a single persona
     fills the shared objects before anyone else moves.
     """
 
-    def __init__(self, n: int, leader: int = 0, lead_steps: Optional[int] = None):
+    def __init__(self, n: int):
         self.n = _check_n(n)
-        if not 0 <= leader < n:
-            raise ConfigurationError(f"leader {leader} out of range for n={n}")
-        self.leader = leader
-        self.lead_steps = lead_steps if lead_steps is not None else 4 * n
 
     def __iter__(self) -> Iterator[int]:
-        for _ in range(self.lead_steps):
-            yield self.leader
-        for pid in itertools.cycle(range(self.n)):
-            yield pid
+        return itertools.chain(
+            itertools.repeat(0, 4 * self.n), itertools.cycle(range(self.n))
+        )
 
 
 class CrashSchedule(Schedule):
@@ -328,22 +314,6 @@ class CrashSchedule(Schedule):
             yield pid
 
 
-class StutterSchedule(Schedule):
-    """Repeat every slot of a base schedule ``repeat`` times."""
-
-    def __init__(self, base: Schedule, repeat: int):
-        if repeat < 1:
-            raise ConfigurationError(f"repeat must be >= 1, got {repeat}")
-        self.base = base
-        self.n = base.n
-        self.repeat = repeat
-
-    def __iter__(self) -> Iterator[int]:
-        for pid in self.base:
-            for _ in range(self.repeat):
-                yield pid
-
-
 class LimitedSchedule(Schedule):
     """Truncate a base schedule after ``max_slots`` slots.
 
@@ -363,30 +333,3 @@ class LimitedSchedule(Schedule):
     def __iter__(self) -> Iterator[int]:
         return itertools.islice(iter(self.base), self.max_slots)
 
-
-__all__.append("LimitedSchedule")
-
-
-def standard_gallery(n: int, seeds: SeedTree) -> Dict[str, Schedule]:
-    """The named family of adversaries used across tests and benchmarks.
-
-    Returns a dict mapping a human-readable adversary name to a schedule for
-    ``n`` processes.  All randomized members draw their seeds from disjoint
-    branches of ``seeds``.
-    """
-    gallery: Dict[str, Schedule] = {
-        "round-robin": RoundRobinSchedule(n),
-        "reversed": ReversedRoundRobinSchedule(n),
-        "random": RandomSchedule(n, seeds.child("random").seed),
-        "blocks-4": BlockSchedule(n, 4, seeds.child("blocks-4").seed),
-        "front-runner": FrontRunnerSchedule(n),
-    }
-    if n > 1:
-        half = {pid: 1 for pid in range(n // 2)}
-        gallery["crash-half"] = CrashSchedule(
-            RandomSchedule(n, seeds.child("crash-half").seed), half
-        )
-    return gallery
-
-
-__all__.append("standard_gallery")

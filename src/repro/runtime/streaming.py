@@ -11,27 +11,23 @@ regime.  This module re-expresses the same *families* as pure functions:
     ``pid_at(step)``  —  the pid of global slot ``step``, computed from
     ``(seed, step)`` alone in O(1) time and memory.
 
-Two groups, with different fidelity guarantees:
-
-- **Drop-in identical**: :class:`StreamingRoundRobinSchedule` and
-  :class:`StreamingReversedSchedule` emit *bit-identical* slot streams to
-  the materialized ``round-robin`` / ``reversed`` classes (property-tested
-  at small ``n``), because those orders are already closed-form.
-- **Same family, new sampler**: :class:`StreamingPermutedSchedule`,
-  :class:`StreamingInterleavedSchedule`, and
-  :class:`StreamingRandomSchedule` sample the same *distribution class*
-  (fresh uniform-ish pass permutations / shuffled double windows / iid
-  uniform slots) from a seeded Feistel permutation or hash instead of a
-  ``random.Random`` Fisher–Yates.  Exact bit-identity to the
-  ``random.Random`` stream is impossible without materializing the array
-  (Fisher–Yates is inherently stateful), so these are registered as *new*
-  schedule families (``streaming-*`` in
-  :mod:`repro.workloads.schedules`) rather than silently changing the
-  existing ones.  Their property tests pin them to a *materialized
-  reference* instead: building each pass's permutation as an explicit
-  list through the same PRP yields the identical slot stream, and every
-  pass is a true permutation (each pid exactly once, or exactly twice for
-  the interleaved windows, second occurrence after the first).
+The three samplers, :class:`StreamingPermutedSchedule`,
+:class:`StreamingInterleavedSchedule` and :class:`StreamingRandomSchedule`,
+sample the same *distribution class* as ``permuted`` / ``interleaved`` /
+``random`` (fresh uniform-ish pass permutations / shuffled double windows /
+iid uniform slots) from a seeded Feistel permutation or hash instead of a
+``random.Random`` Fisher–Yates.  Exact bit-identity to the
+``random.Random`` stream is impossible without materializing the array
+(Fisher–Yates is inherently stateful), so these are registered as *new*
+schedule families (``streaming-*`` in :mod:`repro.workloads.schedules`)
+rather than silently changing the existing ones.  Their property tests pin
+them to a *materialized reference* instead: building each pass's
+permutation as an explicit list through the same PRP yields the identical
+slot stream, and every pass is a true permutation (each pid exactly once,
+or exactly twice for the interleaved windows, second occurrence after the
+first).  The closed-form ``round-robin`` / ``reversed`` orders need no
+streaming twin: their :mod:`~repro.runtime.scheduler` classes already hold
+O(1) state.
 
 The permutation primitive is a 4-round balanced Feistel network over
 ``2k``-bit blocks (``k = ceil(bits(N)/2)``) with round keys derived by a
@@ -53,12 +49,10 @@ import itertools
 from typing import Iterator, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.runtime.scheduler import Schedule
+from repro.runtime.scheduler import Schedule, _check_n
 
 __all__ = [
     "FeistelPermutation",
-    "StreamingRoundRobinSchedule",
-    "StreamingReversedSchedule",
     "StreamingPermutedSchedule",
     "StreamingInterleavedSchedule",
     "StreamingRandomSchedule",
@@ -73,14 +67,6 @@ def _mix64(value: int) -> int:
     value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
     return value ^ (value >> 31)
-
-
-def _check_n(n: int) -> int:
-    if n < 1:
-        raise ConfigurationError(
-            f"a schedule needs at least one process, got n={n}"
-        )
-    return n
 
 
 class FeistelPermutation:
@@ -145,46 +131,6 @@ class _StreamingSchedule(Schedule):
 
     def __iter__(self) -> Iterator[int]:
         for step in itertools.count():
-            yield self.pid_at(step)
-
-
-class StreamingRoundRobinSchedule(_StreamingSchedule):
-    """Round-robin as a pure function: bit-identical to the materialized
-    :class:`~repro.runtime.scheduler.RoundRobinSchedule` stream."""
-
-    def __init__(self, n: int, rounds: Optional[int] = None):
-        self.n = _check_n(n)
-        self.rounds = rounds
-
-    def pid_at(self, step: int) -> int:
-        return step % self.n
-
-    def __iter__(self) -> Iterator[int]:
-        steps = (
-            itertools.count() if self.rounds is None
-            else range(self.rounds * self.n)
-        )
-        for step in steps:
-            yield self.pid_at(step)
-
-
-class StreamingReversedSchedule(_StreamingSchedule):
-    """Reversed round-robin as a pure function: bit-identical to the
-    materialized :class:`~repro.runtime.scheduler.ReversedRoundRobinSchedule`."""
-
-    def __init__(self, n: int, rounds: Optional[int] = None):
-        self.n = _check_n(n)
-        self.rounds = rounds
-
-    def pid_at(self, step: int) -> int:
-        return self.n - 1 - (step % self.n)
-
-    def __iter__(self) -> Iterator[int]:
-        steps = (
-            itertools.count() if self.rounds is None
-            else range(self.rounds * self.n)
-        )
-        for step in steps:
             yield self.pid_at(step)
 
 

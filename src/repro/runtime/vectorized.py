@@ -23,10 +23,9 @@ function of (a) the coins frozen into each persona and (b) the *relative
 order* of same-round operations — round ``i`` only ever touches round ``i``'s
 shared object.  When the schedule advances every process through the same
 round window together (``round-robin``, ``reversed``, ``front-runner`` after
-its prefix, ``permuted``, ``interleaved`` — see
-:data:`repro.workloads.schedules.LOCKSTEP_FAMILIES`), those per-round orders
-can be drawn as permutation arrays and the whole ensemble becomes batched
-gather / prefix-maximum / scatter kernels:
+its prefix, ``permuted``, ``interleaved`` — see :func:`supported_families`),
+those per-round orders can be drawn as permutation arrays and the whole
+ensemble becomes batched gather / prefix-maximum / scatter kernels:
 
 - **Algorithm 2 (sifting)**: round ``i``'s register content at any position
   is the last writer before it; readers gather the running maximum of writer

@@ -45,14 +45,12 @@ from repro.runtime.streaming import (
     StreamingInterleavedSchedule,
     StreamingPermutedSchedule,
     StreamingRandomSchedule,
-    StreamingReversedSchedule,
-    StreamingRoundRobinSchedule,
 )
 
 __all__ = [
     "SCHEDULE_FAMILIES",
-    "LOCKSTEP_FAMILIES",
     "STREAMING_FAMILIES",
+    "PARTIAL_FAMILIES",
     "MATERIALIZED_FAMILIES",
     "MAX_MATERIALIZED_N",
     "ALL_SCHEDULE_FAMILIES",
@@ -61,6 +59,9 @@ __all__ = [
     "schedule_gallery",
 ]
 
+#: The fuzz-stable families.  Seeded fuzz and search draws index into this
+#: tuple, so it never grows or reorders: that would shift every seeded
+#: campaign and invalidate the committed regression corpus.
 SCHEDULE_FAMILIES = (
     "round-robin",
     "reversed",
@@ -70,25 +71,20 @@ SCHEDULE_FAMILIES = (
     "crash-half",
 )
 
-#: Families whose executions advance all processes in lockstep windows —
-#: the schedule class the vectorized backend can batch across trials.
-#: Deliberately a *separate* tuple: the fuzzer's scenario generator samples
-#: uniformly from ``SCHEDULE_FAMILIES``, so appending there would shift
-#: every seeded campaign and invalidate the committed regression corpus.
-LOCKSTEP_FAMILIES = ("round-robin", "reversed", "permuted", "interleaved")
-
-#: O(1)-memory pure-function samplers (:mod:`repro.runtime.streaming`).
-#: ``streaming-round-robin`` / ``streaming-reversed`` are bit-identical to
-#: their materialized namesakes; the seeded three are the same distribution
-#: families re-sampled through a Feistel permutation / hash, registered as
-#: new names so existing seeded runs keep their exact streams.
+#: O(1)-memory pure-function samplers (:mod:`repro.runtime.streaming`): the
+#: ``permuted`` / ``interleaved`` / ``random`` distribution families
+#: re-sampled through a Feistel permutation / hash, registered as new names
+#: so existing seeded runs keep their exact streams.
 STREAMING_FAMILIES = (
-    "streaming-round-robin",
-    "streaming-reversed",
     "streaming-permuted",
     "streaming-interleaved",
     "streaming-random",
 )
+
+#: Families whose runs can end before every process finishes: an
+#: ``explicit`` schedule is a finite list, and ``crash-half`` starves the
+#: crashed half forever.  Runs under either need ``allow_partial``.
+PARTIAL_FAMILIES = frozenset({"explicit", "crash-half"})
 
 #: Families that materialize O(n) state per construction or pass —
 #: ``permuted`` reshuffles a pid list, ``interleaved`` a 2n-slot window,
@@ -106,9 +102,10 @@ _STREAMING_HINT = {
     "crash-half": "streaming-random",
 }
 
-#: Everything :func:`make_schedule` understands (the classic gallery plus
-#: the lockstep-only families used by the vectorized backend and the
-#: streaming samplers for the million-process regime).
+#: Everything :func:`make_schedule` understands: the fuzz-stable families,
+#: the lockstep families the vectorized backend batches (see
+#: :func:`repro.runtime.vectorized.supported_families`) and the streaming
+#: samplers for the million-process regime.
 ALL_SCHEDULE_FAMILIES = (
     SCHEDULE_FAMILIES + ("permuted", "interleaved") + STREAMING_FAMILIES
 )
@@ -139,10 +136,6 @@ def make_schedule(family: str, n: int, seeds: SeedTree) -> Schedule:
         return PermutedRoundRobinSchedule(n, seeds.child("permuted").seed)
     if family == "interleaved":
         return InterleavedLockstepSchedule(n, seeds.child("interleaved").seed)
-    if family == "streaming-round-robin":
-        return StreamingRoundRobinSchedule(n)
-    if family == "streaming-reversed":
-        return StreamingReversedSchedule(n)
     if family == "streaming-permuted":
         return StreamingPermutedSchedule(
             n, seeds.child("streaming-permuted").seed
@@ -221,12 +214,11 @@ class ScheduleSpec:
     def is_finite(self) -> bool:
         """True when the schedule can end before every process finishes.
 
-        Explicit schedules are finite lists, and ``crash-half`` starves the
-        crashed half forever; runs under either need ``allow_partial`` and
-        cannot support a whole-run termination oracle (per-process step
+        Runs under a :data:`PARTIAL_FAMILIES` member need ``allow_partial``
+        and cannot support a whole-run termination oracle (per-process step
         budgets still apply).
         """
-        return self.family in ("explicit", "crash-half")
+        return self.family in PARTIAL_FAMILIES
 
     def build(self) -> Schedule:
         """Construct the described schedule."""

@@ -11,7 +11,6 @@ from repro.runtime.scheduler import (
     LimitedSchedule,
     RandomSchedule,
     RoundRobinSchedule,
-    StutterSchedule,
 )
 from repro.runtime.simulator import run_programs
 
@@ -62,15 +61,6 @@ class TestScheduleProperties:
         schedule = CrashSchedule(RandomSchedule(n, seed), {0: budget})
         slots = schedule.take(500)
         assert slots.count(0) <= budget
-
-    @given(st.integers(min_value=1, max_value=8),
-           st.integers(min_value=1, max_value=4))
-    @settings(max_examples=40, deadline=None)
-    def test_stutter_multiplies_runs(self, n, repeat):
-        base = RoundRobinSchedule(n)
-        slots = StutterSchedule(base, repeat).take(n * repeat)
-        expected = [pid for pid in range(n) for _ in range(repeat)]
-        assert slots == expected
 
     @given(st.integers(min_value=1, max_value=8),
            st.integers(min_value=0, max_value=50))

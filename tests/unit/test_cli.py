@@ -212,6 +212,18 @@ class TestParallelFlags:
         assert code == 2
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["conciliator", "--n", "4", "--trials", "5"],
+        ["conciliator", "--n", "4", "--trials", "5", "--workers", "2"],
+        ["fuzz", "--trials", "3", "--no-shrink"],
+    ])
+    @pytest.mark.parametrize("chunk_size", ["0", "-3"])
+    def test_bad_chunk_size_is_a_configuration_error(
+        self, capsys, command, chunk_size
+    ):
+        assert main(command + ["--chunk-size", chunk_size]) == 2
+        assert "chunk_size must be >= 1" in capsys.readouterr().err
+
 
 class TestFuzzCommand:
     def test_list_stacks(self, capsys):

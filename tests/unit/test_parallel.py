@@ -118,6 +118,22 @@ class TestSerialPath:
         with pytest.raises(ConfigurationError):
             run_indexed_trials(lambda i: i, -1)
 
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [0, -3])
+    def test_bad_chunk_size_rejected_whatever_the_workers(
+        self, tmp_path, workers, checkpoint, chunk_size
+    ):
+        # Refused up front, before any trial runs or a journal is opened,
+        # so the error cannot depend on taking the serial fast path.
+        journal = tmp_path / "sweep.journal"
+        with pytest.raises(ConfigurationError, match="chunk_size"):
+            run_indexed_trials(
+                lambda i: i, 3, workers=workers, chunk_size=chunk_size,
+                checkpoint_path=str(journal) if checkpoint else None,
+            )
+        assert not journal.exists()
+
 
 @needs_fork
 class TestShardedPath:

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.runtime.rng import SeedTree
 from repro.runtime.scheduler import (
+    LimitedSchedule,
     ReversedRoundRobinSchedule,
     RoundRobinSchedule,
 )
@@ -13,8 +14,6 @@ from repro.runtime.streaming import (
     StreamingInterleavedSchedule,
     StreamingPermutedSchedule,
     StreamingRandomSchedule,
-    StreamingReversedSchedule,
-    StreamingRoundRobinSchedule,
 )
 from repro.workloads.schedules import (
     MATERIALIZED_FAMILIES,
@@ -59,26 +58,60 @@ class TestFeistelPermutation:
             FeistelPermutation(0, 1)
 
 
+#: The first 4n + 3 slots of ``round-robin`` and ``reversed``, as literals:
+#: their O(1)-state generator classes are the only implementation of the
+#: closed-form families, so these pin the streams every seeded artifact
+#: built on them assumes.
+ROUND_ROBIN_STREAMS = {
+    1: [0] * 7,
+    2: [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0],
+    3: [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2],
+    8: [0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5,
+        6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2],
+    17: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 0, 1, 2,
+         3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 0, 1, 2, 3, 4, 5,
+         6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 0, 1, 2, 3, 4, 5, 6, 7, 8,
+         9, 10, 11, 12, 13, 14, 15, 16, 0, 1, 2],
+}
+REVERSED_STREAMS = {
+    1: [0] * 7,
+    2: [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
+    3: [2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0],
+    8: [7, 6, 5, 4, 3, 2, 1, 0, 7, 6, 5, 4, 3, 2, 1, 0, 7, 6, 5, 4, 3, 2,
+        1, 0, 7, 6, 5, 4, 3, 2, 1, 0, 7, 6, 5],
+    17: [16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 16, 15,
+         14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 16, 15, 14, 13,
+         12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 16, 15, 14, 13, 12, 11,
+         10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 16, 15, 14],
+}
+
+
 class TestDropInIdenticalFamilies:
-    """streaming-round-robin / streaming-reversed are bit-identical."""
+    """``round-robin`` / ``reversed`` emit their literal closed-form streams,
+    whether built directly or through :func:`make_schedule`."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
     def test_round_robin_streams_match(self, n):
         count = 4 * n + 3
-        assert (_take(StreamingRoundRobinSchedule(n), count)
-                == _take(RoundRobinSchedule(n), count))
+        seeds = SeedTree(0).child("schedule")
+        assert _take(RoundRobinSchedule(n), count) == ROUND_ROBIN_STREAMS[n]
+        assert (_take(make_schedule("round-robin", n, seeds), count)
+                == ROUND_ROBIN_STREAMS[n])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
     def test_reversed_streams_match(self, n):
         count = 4 * n + 3
-        assert (_take(StreamingReversedSchedule(n), count)
-                == _take(ReversedRoundRobinSchedule(n), count))
+        seeds = SeedTree(0).child("schedule")
+        assert _take(ReversedRoundRobinSchedule(n), count) == REVERSED_STREAMS[n]
+        assert (_take(make_schedule("reversed", n, seeds), count)
+                == REVERSED_STREAMS[n])
 
     def test_finite_rounds_honored(self):
-        assert list(StreamingRoundRobinSchedule(3, rounds=2)) == [
+        # ``rounds`` full passes are the first ``rounds * n`` slots.
+        assert list(LimitedSchedule(RoundRobinSchedule(3), 2 * 3)) == [
             0, 1, 2, 0, 1, 2,
         ]
-        assert list(StreamingReversedSchedule(3, rounds=2)) == [
+        assert list(LimitedSchedule(ReversedRoundRobinSchedule(3), 2 * 3)) == [
             2, 1, 0, 2, 1, 0,
         ]
 
