@@ -48,7 +48,7 @@ from repro.core.conciliator import Conciliator
 from repro.core.consensus import ConsensusProtocol
 from repro.errors import CheckpointError, ConfigurationError
 from repro.memory.semantics import RegisterModel, SemanticsInjector
-from repro.obs.metrics import MetricsHook, MetricsRegistry, get_default_registry
+from repro.obs.metrics import MetricsHook, MetricsRegistry
 from repro.runtime.adaptive import AdaptiveSpec, run_adaptive_programs
 from repro.runtime.adversary import AdversarySpec
 from repro.runtime.parallel import run_indexed_trials
@@ -467,11 +467,9 @@ def _sweep(
     if allow_partial is None:
         allow_partial = schedule_family in PARTIAL_FAMILIES
     inputs = list(inputs)
-    # Explicit registry, else the session default of
-    # repro.obs.metrics.collecting(); with neither, trials run the
-    # simulator's no-hook fast path and pay nothing.
-    registry = metrics if metrics is not None else get_default_registry()
-    collect = registry is not None
+    # Without a registry, trials run the simulator's no-hook fast path and
+    # pay nothing.
+    collect = metrics is not None
     run_key = (
         f"{what}|{key}"
         # Decay has no allow_partial knob (the family decides it), so its
@@ -515,13 +513,13 @@ def _sweep(
         checkpoint_path=checkpoint_path,
         run_key=run_key,
     )
-    if registry is not None:
+    if metrics is not None:
         # Each trial recorded into a fresh registry in its (possibly
         # forked) worker; folding the snapshots by trial index, never by
         # worker or completion order, keeps the aggregate bit-identical
         # across worker counts, as the sweep statistics are.
         for outcome in outcomes:
-            registry.merge_snapshot(outcome.metrics)
+            metrics.merge_snapshot(outcome.metrics)
     return fold(kind, outcomes)
 
 
@@ -583,9 +581,8 @@ def run_conciliator_trials(
     ``metrics`` optionally names a
     :class:`~repro.obs.metrics.MetricsRegistry` that aggregates per-trial
     simulator metrics (folded in trial order, so the aggregate is
-    bit-identical across worker counts).  With no explicit registry the
-    sweep falls back to the session default installed by
-    :func:`repro.obs.metrics.collecting`, and collects nothing otherwise.
+    bit-identical across worker counts).  Without one the sweep collects
+    nothing.
     """
     input_map = dict(enumerate(inputs))
 

@@ -398,15 +398,14 @@ def run_growth_experiment(
     epsilon: float = 0.5,
     max_n: int = DEFAULT_MAX_N,
     schedule_family: str = "permuted",
-    probe_slots: Optional[int] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, Any]:
     """Run the full growth sweep and return the versioned report.
 
     Requires NumPy (the ensemble sweep runs on the vectorized backend);
     raises :class:`ConfigurationError` with the usual install hint when it
-    is absent.  ``probe_slots`` caps the sparse probe's slot count (the
-    default walks one full pass of the largest decade).
+    is absent.  The sparse probe walks one full pass of the largest
+    decade.
     """
     from repro.runtime.vectorized import numpy_available
 
@@ -433,7 +432,7 @@ def run_growth_experiment(
              f"(trials={_SOLO_TRIALS}, generator)...")
         solo.append({"n": n, **_solo_ladder_point(n, seed)})
     emit(f"growth: sparse round probe n={sizes[-1]}...")
-    probe = sparse_round_probe(sizes[-1], seed, slots=probe_slots)
+    probe = sparse_round_probe(sizes[-1], seed)
     checks = _checks(curves, solo)
     emit(
         "growth: checks "

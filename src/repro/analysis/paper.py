@@ -2,13 +2,13 @@
 
 Each function reproduces one claim from the paper (see DESIGN.md's
 experiment index) and returns an :class:`ExperimentTable` pairing the
-measured series with the paper's predicted values.  The benchmark modules
-under ``benchmarks/`` call these with quick parameters; the
-``examples/reproduce_paper.py`` script calls them with fuller parameters
-and regenerates the tables recorded in EXPERIMENTS.md.
+measured series with the paper's predicted values and a shape verdict.
+``python -m repro experiments`` is the one driver: it prints the selected
+tables and exits 1 when any verdict fails.  Its output at the default
+scale is committed as ``benchmarks/results/experiments.txt``.
 
-The ``scale`` parameter multiplies trial counts (0.25 for smoke runs, 1.0
-for the recorded tables).
+The ``scale`` parameter multiplies trial counts (0.25 by default, 1.0 for
+the tables recorded in EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -348,6 +348,9 @@ def e7_register_consensus(scale: float = 1.0) -> ExperimentTable:
             "sweep-m", n, m, round(stats.individual_steps.mean, 2),
             round(stats.phases.mean, 2), ac_cost, within,
         ])
+    # Shape: the m-sweep's mean steps grow with m.
+    m_means = [row[3] for row in rows if row[0] == "sweep-m"]
+    ok = ok and m_means == sorted(m_means)
     # Corollary 3: linear-total-work variant.
     for n in (32, 128):
         stats = run_consensus_trials(
@@ -517,10 +520,13 @@ def e10_p_schedule_ablation(scale: float = 1.0, n: int = 256) -> ExperimentTable
             label, round(series[min(switch, len(series) - 1)], 2),
             round(series[-1], 2), round(agreement, 3),
         ])
-    # Shape: both tuned schedules sift far faster than fixed 1/2 early on.
+    # Shape: both tuned schedules sift far faster than fixed 1/2 early on,
+    # and the tuned survivors at the switch sit below fixed 1/2's.
+    by_label = {row[0]: row for row in rows}
     ok = (
         survivors_by_label["tuned (ours)"][switch - 1]
         < survivors_by_label["fixed 1/2"][switch - 1]
+        and by_label["tuned (ours)"][1] < by_label["fixed 1/2"][1]
     )
     return ExperimentTable(
         "E10",
@@ -658,6 +664,9 @@ def e13_one_round_scaling(scale: float = 1.0) -> ExperimentTable:
     sift_ratio = sift_values[1024] / sift_values[64]
     snap_gap = snap_values[1024] - snap_values[64]
     ok = ok and 2.0 <= sift_ratio <= 6.5 and snap_gap <= 4.0
+    # The qualitative gap: at n=1024 one register layer retains far more
+    # values than one snapshot layer.
+    ok = ok and rows[-1][3] > 4 * rows[-1][1]
     return ExperimentTable(
         "E13",
         "One layer of computation: snapshot round leaves ~H_n survivors "
@@ -744,8 +753,10 @@ def e15_emulated_snapshot_cost(scale: float = 1.0) -> ExperimentTable:
             round(ratio, 1), round(stats.agreement_rate, 3),
         ])
     # Shape: the emulation overhead grows with n (Theta(n) per scan), so
-    # the ratio must increase monotonically down the sweep.
+    # the ratio must increase monotonically down the sweep, and at n=32
+    # the emulation costs more than 10x the unit-cost steps.
     ok = ok and all(ratios[i] < ratios[i + 1] for i in range(len(ratios) - 1))
+    ok = ok and rows[-1][3] > 10
     return ExperimentTable(
         "E15",
         "Unit-cost snapshot assumption, priced: Algorithm 1 on wait-free "

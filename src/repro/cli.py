@@ -6,7 +6,7 @@ Installed as ``python -m repro``.  Subcommands:
 - ``conciliator``  estimate a conciliator's agreement rate and step counts
 - ``decay``        print a survivor-decay table against the paper's bound
 - ``tas``          run test-and-set trials and report the winner statistics
-- ``experiments``  regenerate the paper's experiment tables (E1-E12)
+- ``experiments``  regenerate the paper's experiment tables (E1-E20)
 - ``probe``        tabulate agreement vs adversary-ladder rung and
   register model (oblivious < noisy < late-δ < adaptive; atomic/regular/safe)
 - ``fuzz``         chaos-fuzz random protocol/schedule/fault scenarios
@@ -47,6 +47,7 @@ by the differential test suite.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -846,7 +847,12 @@ def _cmd_tas(args: argparse.Namespace) -> int:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import model_overrides
     from repro.analysis.paper import select_experiments
+    from repro.errors import ConfigurationError
 
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        raise ConfigurationError(
+            f"--scale must be finite and > 0, got {args.scale}"
+        )
     builders = select_experiments(args.only)
     register_model, adversary = _parse_model_arguments(args)
     all_ok = True
@@ -939,7 +945,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
-        collect_metrics=True if args.metrics else None,
+        collect_metrics=args.metrics,
         explain_dir=corpus_dir if args.explain else None,
         log=lambda message: print(message, file=sys.stderr),
     )

@@ -38,7 +38,6 @@ __all__ = [
     "paper_sift_p",
     "snapshot_f",
     "iterate_snapshot_f",
-    "sift_tail_factor",
 ]
 
 #: Per-round multiplicative bound after the switch to p = 1/2 (Lemma 4):
@@ -119,7 +118,3 @@ def iterate_snapshot_f(x: float, iterations: int) -> float:
         value = snapshot_f(value)
     return value
 
-
-def sift_tail_factor() -> float:
-    """Per-round decay factor ``3/4`` after the switch (Lemma 4)."""
-    return SIFT_TAIL_FACTOR

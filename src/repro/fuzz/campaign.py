@@ -33,7 +33,7 @@ from repro.fuzz.scenario import (
     run_scenario,
 )
 from repro.fuzz.shrink import shrink_scenario
-from repro.obs.metrics import MetricsRegistry, get_default_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.budget import Deadline
 from repro.runtime.parallel import resolve_workers, run_indexed_trials
 
@@ -163,7 +163,7 @@ def run_fuzz_campaign(
     chunk_size: Optional[int] = None,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
-    collect_metrics: Optional[bool] = None,
+    collect_metrics: bool = False,
     explain_dir: Optional[Path] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> CampaignReport:
@@ -179,10 +179,7 @@ def run_fuzz_campaign(
 
     ``collect_metrics`` attaches a fresh metrics registry to every trial
     and folds the per-trial snapshots — in trial order, so the aggregate
-    is bit-identical across worker counts — into ``report.metrics``; when
-    left ``None`` it follows the session default installed by
-    :func:`repro.obs.metrics.collecting` (which also receives a copy of
-    the aggregate).
+    is bit-identical across worker counts — into ``report.metrics``.
 
     ``explain_dir`` writes a ``<case-stem>.explain.json`` explanation (see
     :mod:`repro.fuzz.explain`) next to each corpus case the campaign
@@ -223,8 +220,6 @@ def run_fuzz_campaign(
         )
     emit = log or (lambda message: None)
     started = time.monotonic()
-    if collect_metrics is None:
-        collect_metrics = get_default_registry() is not None
 
     def task(index: int) -> Dict[str, Any]:
         return _run_trial(
@@ -276,9 +271,6 @@ def run_fuzz_campaign(
             if snapshot is not None:
                 aggregate.merge_snapshot(snapshot)
         report.metrics = aggregate.to_json()
-        session_registry = get_default_registry()
-        if session_registry is not None:
-            session_registry.merge_snapshot(report.metrics)
     seen_corpus: set = set()
     # Cap corpus files per distinct bug — keyed on (stack, oracle set) — so
     # one hot bug found in many trials does not flood the corpus with

@@ -70,10 +70,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsHook,
     MetricsRegistry,
-    collecting,
-    get_default_registry,
     merge_snapshots,
-    set_default_registry,
 )
 from repro.obs.timeline import (
     render_timeline,
@@ -119,12 +116,10 @@ __all__ = [
     "append_history",
     "attribute_steps",
     "build_lineages",
-    "collecting",
     "compare_bench",
     "event_from_json",
     "event_to_json",
     "explain_disagreement",
-    "get_default_registry",
     "history_entry",
     "load_bench_json",
     "load_history",
@@ -136,7 +131,6 @@ __all__ = [
     "render_waterfall",
     "render_waterfall_html",
     "run_bench_suite",
-    "set_default_registry",
     "summarize_trend",
     "write_trace_jsonl",
 ]

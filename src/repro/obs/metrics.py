@@ -28,13 +28,11 @@ Snapshots are versioned JSON; readers reject foreign versions loudly.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Union,
@@ -55,10 +53,7 @@ __all__ = [
     "Histogram",
     "MetricsHook",
     "MetricsRegistry",
-    "collecting",
-    "get_default_registry",
     "merge_snapshots",
-    "set_default_registry",
 ]
 
 #: Version stamped on every snapshot; bump on incompatible change.
@@ -313,47 +308,6 @@ def merge_snapshots(
     for snapshot in snapshots:
         registry.merge_snapshot(snapshot)
     return registry
-
-
-# ----- session default registry ---------------------------------------------
-#
-# Mirrors repro.runtime.parallel's session parallelism default: callers that
-# do not thread an explicit registry (the benchmark conftest, the
-# experiments CLI) can enable collection for everything beneath them.
-
-_default_registry: Optional[MetricsRegistry] = None
-
-
-def get_default_registry() -> Optional[MetricsRegistry]:
-    """The session-wide default registry, or ``None`` (collection off)."""
-    return _default_registry
-
-
-def set_default_registry(
-    registry: Optional[MetricsRegistry],
-) -> Optional[MetricsRegistry]:
-    """Replace the session default; returns the previous one."""
-    global _default_registry
-    previous = _default_registry
-    _default_registry = registry
-    return previous
-
-
-@contextmanager
-def collecting(
-    registry: Optional[MetricsRegistry] = None,
-) -> Iterator[MetricsRegistry]:
-    """Enable default metrics collection for the dynamic extent.
-
-    Yields the active registry (a fresh one unless provided), restoring
-    the previous default on exit.
-    """
-    active = registry if registry is not None else MetricsRegistry()
-    previous = set_default_registry(active)
-    try:
-        yield active
-    finally:
-        set_default_registry(previous)
 
 
 class MetricsHook(StepHook):

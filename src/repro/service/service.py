@@ -45,8 +45,8 @@ virtual-time boundaries taken from the serving loop.  Phase boundary
 timestamps are shared between adjacent spans (each boundary is read from
 the clock exactly once), so the leaf spans tile the session's lifetime
 and :func:`~repro.service.spans.attribute_phases` decomposes its latency
-exactly.  The PR 8 ``record_calls`` flat audit list survives as a view
-over these trees (:attr:`ConsensusService.calls`).
+exactly.  The flat worker-call audit list is a view over these trees
+(:attr:`ConsensusService.calls`).
 """
 
 from __future__ import annotations
@@ -110,11 +110,6 @@ class ServiceConfig:
         degrade_recover: occupancy fraction at or below which degraded
             mode disengages.
         seed: master seed for service-side randomness (retry jitter).
-        record_calls: retained for PR 8 compatibility.  Worker calls are
-            always recorded now — as ``worker-call`` spans — and
-            :attr:`ConsensusService.calls` derives the flat
-            ``(session_id, shard, attempt, timeout, remaining)`` list
-            from the span trees regardless of this flag.
         span_capacity: how many finished session span trees to retain
             (``None`` = all, the loadtest mode; bound it for long-lived
             servers — evictions are counted, never silent).
@@ -136,7 +131,6 @@ class ServiceConfig:
     degrade_after: float = 0.5
     degrade_recover: float = 0.25
     seed: int = 0
-    record_calls: bool = False
     span_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:

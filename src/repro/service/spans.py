@@ -17,9 +17,8 @@ span tree rooted at a ``session`` span::
 
 Spans carry virtual-time ``start``/``end`` from the serving event loop,
 so under the virtual-time loadtest every tree is a pure function of the
-seeds.  The flat ``record_calls`` audit list from PR 8 is now a *view*
-over these trees (:meth:`SpanRecorder.calls_view`), not a separate
-recording path.
+seeds.  The flat worker-call audit list is a *view* over these trees
+(:meth:`SpanRecorder.calls_view`), not a separate recording path.
 
 **The exact-decomposition contract.**  :func:`attribute_phases` folds a
 tree's leaf spans into per-phase totals (``stall``, ``queue-wait``,
@@ -361,7 +360,7 @@ class SpanRecorder:
         return None
 
     def calls_view(self) -> List[Dict[str, Any]]:
-        """The flat PR 8 ``record_calls`` audit list, derived from spans.
+        """The flat worker-call audit list, derived from spans.
 
         One entry per ``worker-call`` span, grouped by session in
         completion order then by attempt — the deadline-propagation

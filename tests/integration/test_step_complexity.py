@@ -49,10 +49,9 @@ class TestExactConciliatorCosts:
 
 class TestScalingShape:
     def test_sifting_grows_doubly_logarithmically(self):
-        # Quadrupling the exponent of n adds exactly 2 tuned rounds.
-        costs = {n: sifting_step_count(n, 0.5) for n in (16, 256, 65536)}
-        assert costs[256] - costs[16] == 1
-        assert costs[65536] - costs[256] == 1
+        # Squaring n (log log n grows by one) adds exactly one round.
+        costs = [sifting_step_count(n, 0.5) for n in (16, 256, 65536, 2**32)]
+        assert [b - a for a, b in zip(costs, costs[1:])] == [1, 1, 1]
 
     def test_snapshot_grows_like_log_star(self):
         costs = {n: snapshot_step_count(n, 0.5) for n in (4, 65536)}

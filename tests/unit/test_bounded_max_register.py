@@ -43,6 +43,16 @@ class TestSequentialSemantics:
 
         assert run_solo(script).outputs[0] == 5
 
+    def test_write_then_read_at_capacity_2_to_the_16(self):
+        register = BoundedMaxRegister(2**16)
+
+        def script(ctx):
+            yield from register.write_program(ctx, 54_321)
+            value = yield from register.read_program(ctx)
+            return value
+
+        assert run_solo(script).outputs[0] == 54_321
+
     def test_smaller_write_ignored(self):
         register = BoundedMaxRegister(8)
 

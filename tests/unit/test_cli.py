@@ -183,6 +183,15 @@ class TestExperimentsCommand:
         assert called == []
         assert "unknown experiment id(s) E99" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-5"])
+    def test_bad_scale_is_refused_before_anything_runs(
+        self, monkeypatch, capsys, scale
+    ):
+        called = self._stub_builders(monkeypatch)
+        assert main(["experiments", "--only", "E2", "--scale", scale]) == 2
+        assert called == []
+        assert "--scale must be finite and > 0" in capsys.readouterr().err
+
 
 class TestParallelFlags:
     def test_defaults_are_serial(self):

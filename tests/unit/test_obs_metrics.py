@@ -13,8 +13,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsHook,
     MetricsRegistry,
-    collecting,
-    get_default_registry,
     merge_snapshots,
 )
 from repro.runtime.faults import (
@@ -147,22 +145,6 @@ class TestSnapshots:
         assert target.counter_value("runs") == 3
 
 
-class TestSessionDefault:
-    def test_collecting_installs_and_restores(self):
-        assert get_default_registry() is None
-        with collecting() as registry:
-            assert get_default_registry() is registry
-            with collecting() as inner:
-                assert get_default_registry() is inner
-            assert get_default_registry() is registry
-        assert get_default_registry() is None
-
-    def test_collecting_accepts_existing_registry(self):
-        mine = MetricsRegistry()
-        with collecting(mine) as active:
-            assert active is mine
-
-
 class TestRuntimeIntegration:
     def test_run_populates_registry_and_result(self):
         registry = MetricsRegistry()
@@ -255,16 +237,6 @@ class TestSweepAggregation:
         assert serial.to_json() == parallel.to_json()
         assert serial.counter_value("run.count") == 6
 
-    def test_session_default_is_used_when_no_registry_passed(self):
-        with collecting() as registry:
-            run_conciliator_trials(
-                lambda: SiftingConciliator(4),
-                [0, 1, 0, 1],
-                trials=3,
-                master_seed=13,
-            )
-        assert registry.counter_value("run.count") == 3
-
     def test_no_collection_without_registry(self):
         stats = run_conciliator_trials(
             lambda: SiftingConciliator(4),
@@ -273,7 +245,6 @@ class TestSweepAggregation:
             master_seed=13,
         )
         assert stats.trials == 2
-        assert get_default_registry() is None
 
 
 class TestDisabledFastPath:

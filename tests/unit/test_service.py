@@ -347,7 +347,6 @@ class TestDeadlinePropagation:
     def collect_calls(self, deadline, client_stall=0.0, chaos=None):
         config = ServiceConfig(
             shards=1, max_attempts=4, attempt_timeout=0.5,
-            record_calls=True,
         )
         service = ConsensusService(config, chaos=chaos)
         submit_all(
@@ -394,9 +393,7 @@ class TestDeadlinePropagation:
         """Rejected-on-admission and timed-out-in-flight are distinct:
         the former produces zero worker calls and a rejection code, the
         latter spends attempts and reports a failure code."""
-        config = ServiceConfig(
-            shards=1, dispatch_overhead=0.01, record_calls=True,
-        )
+        config = ServiceConfig(shards=1, dispatch_overhead=0.01)
         service = ConsensusService(config)
         preadmission = submit_all(
             service, [request(0, deadline=0.005)]
@@ -410,7 +407,7 @@ class TestDeadlinePropagation:
                                           duration=100.0),),
         )
         slow = ConsensusService(
-            ServiceConfig(shards=1, max_attempts=1000, record_calls=True),
+            ServiceConfig(shards=1, max_attempts=1000),
             chaos=chaos,
         )
         in_flight = submit_all(slow, [request(0, deadline=0.3)])[0]
