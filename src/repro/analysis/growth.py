@@ -58,17 +58,15 @@ the paper's tuning requires); the cap is recorded per point as
 takes exactly ``2R`` steps no matter the range.
 
 Determinism contract (the ``scale-smoke`` CI gate): the report is a pure
-function of ``(seed, max_n, epsilon)`` — no wall clock, no git SHA, no
-host fingerprint — so :func:`deterministic_view` (everything but the
-``label``) byte-compares against the committed
-``benchmarks/GROWTH_baseline.json`` on any runner, mirroring the SLO
-baseline contract.
+function of ``(label, seed, max_n, epsilon)`` — no wall clock, no git SHA,
+no host fingerprint — so ``repro growth --quick --seed 2012 --label
+baseline`` regenerates ``benchmarks/GROWTH_baseline.json`` byte for byte
+on any runner, and CI compares the two with ``cmp``, as it does the probe
+ladder.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import statistics
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -76,18 +74,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from repro import catalog
 from repro.analysis.theory import doubling_cil_step_bound, predicted_attribution
 from repro.errors import ConfigurationError
-from repro.jsonio import expect_versioned, load_json_file
+from repro.jsonio import write_json
 from repro.runtime.rng import derive_seed
 
 __all__ = [
     "GROWTH_SCHEMA_VERSION",
     "DEFAULT_MAX_N",
     "QUICK_MAX_N",
-    "compare_growth",
     "decades",
-    "deterministic_view",
-    "growth_filename",
-    "load_growth_json",
     "run_growth_experiment",
     "sparse_round_probe",
     "trials_for",
@@ -466,71 +460,15 @@ def run_growth_experiment(
     }
 
 
-# ----- serialization and the baseline gate -----------------------------------
-
-
-def growth_filename(label: str) -> str:
-    """Canonical on-disk name for a labeled report."""
-    return f"GROWTH_{label}.json"
+# ----- serialization ---------------------------------------------------------
 
 
 def write_growth_json(
     report: Dict[str, Any], path: Union[str, Path]
 ) -> Path:
-    """Write a report canonically (sorted keys, trailing newline).
-
-    Directory targets (existing, or spelled with a trailing slash) get the
-    canonical ``GROWTH_<label>.json`` name, like the bench reports.
-    """
-    wants_dir = str(path).endswith(("/", os.sep))
-    path = Path(path)
-    if path.is_dir() or wants_dir:
-        path = path / growth_filename(str(report.get("label", "local")))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+    """Write a report canonically; a directory target (existing, or spelled
+    with a trailing slash) gets the file ``GROWTH_<label>.json``."""
+    return write_json(
+        report, path,
+        dir_name=f"GROWTH_{report.get('label', 'local')}.json",
     )
-    return path
-
-
-def load_growth_json(path: Union[str, Path]) -> Dict[str, Any]:
-    """Load a report, rejecting foreign schema versions."""
-    return expect_versioned(
-        load_json_file(path, "growth file"), f"growth file {str(path)!r}",
-        GROWTH_SCHEMA_VERSION, key="v",
-    )
-
-
-def deterministic_view(report: Dict[str, Any]) -> Dict[str, Any]:
-    """The byte-comparable projection: everything except the label.
-
-    The growth report carries no wall clock, git SHA, or host fingerprint
-    by design, so two runs with equal ``(seed, epsilon, max_n)`` agree on
-    this view byte for byte on any machine.
-    """
-    return {key: value for key, value in report.items() if key != "label"}
-
-
-def compare_growth(
-    old: Dict[str, Any], new: Dict[str, Any]
-) -> Tuple[bool, str]:
-    """Byte-compare two reports' deterministic views.
-
-    Returns ``(ok, message)``; on mismatch the message names the first
-    divergent top-level key so CI logs point somewhere useful.
-    """
-    old_view = deterministic_view(old)
-    new_view = deterministic_view(new)
-    old_bytes = json.dumps(old_view, indent=2, sort_keys=True)
-    new_bytes = json.dumps(new_view, indent=2, sort_keys=True)
-    if old_bytes == new_bytes:
-        return True, "growth report matches the baseline byte for byte"
-    for key in sorted(set(old_view) | set(new_view)):
-        if json.dumps(old_view.get(key), sort_keys=True) != json.dumps(
-            new_view.get(key), sort_keys=True
-        ):
-            return False, (
-                f"growth report diverges from the baseline at key {key!r}"
-            )
-    return False, "growth reports differ"  # pragma: no cover - unreachable

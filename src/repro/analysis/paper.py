@@ -516,17 +516,16 @@ def e10_p_schedule_ablation(scale: float = 1.0, n: int = 256) -> ExperimentTable
             master_seed=10_001,
         ).agreement_rate
         survivors_by_label[label] = series
+        # decay_series index i holds the survivors after round i + 1.
         rows.append([
-            label, round(series[min(switch, len(series) - 1)], 2),
+            label, round(series[switch - 1], 2),
             round(series[-1], 2), round(agreement, 3),
         ])
-    # Shape: both tuned schedules sift far faster than fixed 1/2 early on,
-    # and the tuned survivors at the switch sit below fixed 1/2's.
-    by_label = {row[0]: row for row in rows}
+    # Shape: the tuned schedule sifts far faster than fixed 1/2 early on,
+    # so its survivors after the switch round sit below fixed 1/2's.
     ok = (
         survivors_by_label["tuned (ours)"][switch - 1]
         < survivors_by_label["fixed 1/2"][switch - 1]
-        and by_label["tuned (ours)"][1] < by_label["fixed 1/2"][1]
     )
     return ExperimentTable(
         "E10",

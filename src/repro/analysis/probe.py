@@ -20,7 +20,6 @@ the committed ``benchmarks/PROBE_ladder.json`` regenerates byte-identically
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -29,7 +28,7 @@ from repro import catalog
 from repro.analysis.experiments import run_conciliator_trials
 from repro.analysis.tables import render_table
 from repro.errors import ConfigurationError
-from repro.jsonio import expect_versioned
+from repro.jsonio import expect_versioned, write_json
 from repro.memory.semantics import REGISTER_MODEL_KINDS, RegisterModel
 from repro.runtime.adaptive import ADAPTIVE_FAMILIES, AdaptiveSpec
 from repro.runtime.adversary import ADVERSARY_LADDER, AdversarySpec
@@ -118,13 +117,7 @@ class ProbeReport:
 
     def write(self, path: Union[str, Path]) -> Path:
         """Write the canonical JSON report to ``path``."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return target
+        return write_json(self.to_json(), path)
 
     def render(self) -> str:
         """Human-oriented tables: one per algorithm plus the register leg."""

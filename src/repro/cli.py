@@ -19,8 +19,8 @@ Installed as ``python -m repro``.  Subcommands:
 - ``bench compare`` gate one bench report against another (CI perf gate)
 - ``bench trend``  summarize the append-only BENCH_history.jsonl ledger
 - ``growth``       sweep n over decades to 10^6 and emit the deterministic
-  asymptotic separation curves (``GROWTH_<label>.json``); ``--baseline``
-  byte-gates the result against a committed report (CI scale-smoke)
+  asymptotic separation curves (``GROWTH_<label>.json``); CI regenerates
+  the committed baseline and compares bytes with ``cmp`` (scale-smoke)
 - ``serve``        expose consensus rounds as sessions over a JSON-lines
   TCP endpoint (the consensus-as-a-service front end)
 - ``loadtest``     replay a seeded open-loop traffic profile against the
@@ -62,6 +62,7 @@ from repro.core.consensus import (
 )
 from repro.errors import ReproError
 from repro.fuzz.stacks import service_chaos_names
+from repro.jsonio import dumps
 from repro.runtime.adaptive import ADAPTIVE_FAMILIES
 from repro.runtime.parallel import parallelism
 from repro.runtime.rng import SeedTree
@@ -502,12 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "the baseline's solo-run log-n ladder on the generator "
                     "backend, and a sparse/streaming shared-state probe at "
                     "the largest decade.  The report is a pure function of "
-                    "(seed, epsilon, max-n) — no wall clock or git SHA — so "
-                    "CI byte-compares it against a committed baseline.",
-        epilog="Exit codes: 0 = curves computed and self-checks passed "
-               "(and the baseline matched, when --baseline is given); "
-               "1 = self-checks failed or the baseline diverged; "
-               "2 = usage or configuration error.",
+                    "(label, seed, epsilon, max-n) — no wall clock or git "
+                    "SHA — so CI regenerates the committed baseline and "
+                    "compares bytes.",
+        epilog="Exit codes: 0 = curves computed and self-checks passed; "
+               "1 = self-checks failed; 2 = usage or configuration error.",
     )
     growth.add_argument("--quick", action="store_true",
                         help=f"stop the sweep at n={QUICK_MAX_N:,} (the CI "
@@ -524,10 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     growth.add_argument("--out", type=str, default=None, metavar="PATH",
                         help="write the report to PATH (a directory gets "
                              "the canonical GROWTH_<label>.json name)")
-    growth.add_argument("--baseline", type=str, default=None, metavar="PATH",
-                        help="byte-compare this run's deterministic view "
-                             "against the committed report at PATH and fail "
-                             "on any divergence (the scale-smoke gate)")
     growth.add_argument("--json", action="store_true",
                         help="print the full report as JSON on stdout")
 
@@ -801,9 +797,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                          for arm, count in result.family_pulls.items())
         print(f"proposal-arm pulls: {pulls}")
     if registry is not None:
-        import json as _json
-
-        print(_json.dumps(registry.to_json(), indent=2, sort_keys=True))
+        print(dumps(registry.to_json()), end="")
     print(f"starting (round-robin) agreement: {result.history[0]:.3f}")
     print(f"worst-found agreement (fresh seeds): {result.agreement_rate:.3f}")
     print("best-so-far per generation: "
@@ -871,8 +865,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.analysis.probe import run_probe
 
     algorithms = tuple(
@@ -894,7 +886,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         path = report.write(args.out)
         print(f"wrote {path}", file=sys.stderr)
     if args.json:
-        print(_json.dumps(report.to_json(), indent=2, sort_keys=True))
+        print(dumps(report.to_json()), end="")
     else:
         print(report.render())
         monotone = all(report.monotone.values())
@@ -950,9 +942,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         log=lambda message: print(message, file=sys.stderr),
     )
     if args.json:
-        import json as _json
-
-        print(_json.dumps(report.to_json(), indent=2, sort_keys=True))
+        print(dumps(report.to_json()), end="")
     else:
         statuses = " ".join(
             f"{name}={count}"
@@ -1012,9 +1002,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                     explanation.events, out_dir / f"{stem}.trace.jsonl"
                 )
     if args.json:
-        import json as _json
-
-        print(_json.dumps([
+        print(dumps([
             {
                 "file": path.name,
                 "reproduced": verdict.reproduced,
@@ -1027,7 +1015,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 ),
             }
             for path, verdict in reports
-        ], indent=2, sort_keys=True))
+        ]), end="")
     else:
         for path, verdict in reports:
             mark = "ok " if verdict.reproduced else "FAIL"
@@ -1059,7 +1047,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    import json as _json
     from pathlib import Path
 
     from repro.fuzz.corpus import load_case
@@ -1081,7 +1068,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         print(f"wrote {count} trace event(s) to {args.trace}",
               file=sys.stderr)
     if args.json:
-        print(_json.dumps(explanation.to_json(), indent=2, sort_keys=True))
+        print(dumps(explanation.to_json()), end="")
     else:
         print(explanation.render())
     return 0
@@ -1128,8 +1115,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.obs.bench import (
         compare_bench,
         load_bench_json,
@@ -1144,18 +1129,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             threshold=args.threshold,
         )
         if args.json:
-            print(_json.dumps(comparison.to_json(), indent=2, sort_keys=True))
+            print(dumps(comparison.to_json()), end="")
         else:
             print(comparison.render())
         return 0 if comparison.ok else 1
 
     if getattr(args, "bench_command", None) == "trend":
-        from repro.obs.trend import load_history, render_trend, summarize_trend
+        from repro.obs.trend import BENCH_LEDGER
 
-        entries = load_history(args.history)
+        entries = BENCH_LEDGER.load(args.history)
         if args.json:
-            trends = summarize_trend(entries, last=args.last)
-            print(_json.dumps({
+            trends = BENCH_LEDGER.summarize(entries, last=args.last)
+            print(dumps({
                 "history": args.history,
                 "entries": len(entries),
                 "cases": [
@@ -1169,9 +1154,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     }
                     for trend in trends
                 ],
-            }, indent=2, sort_keys=True))
+            }), end="")
         else:
-            print(render_trend(entries, last=args.last))
+            print(BENCH_LEDGER.render(entries, last=args.last))
         return 0
 
     suites = tuple(
@@ -1188,12 +1173,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         path = write_bench_json(report, args.out)
         print(f"wrote {path}", file=sys.stderr)
     if args.history is not None:
-        from repro.obs.trend import append_history
+        from repro.jsonio import append_jsonl
+        from repro.obs.trend import history_entry
 
-        append_history(report, args.history)
+        append_jsonl(args.history, history_entry(report))
         print(f"appended history entry to {args.history}", file=sys.stderr)
     if args.json:
-        print(_json.dumps(report, indent=2, sort_keys=True))
+        print(dumps(report), end="")
     else:
         mode = "quick" if report["quick"] else "full"
         print(f"label={report['label']} mode={mode} seed={report['seed']} "
@@ -1281,13 +1267,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
-    import json as json_module
-
+    from repro.jsonio import append_jsonl
     from repro.service import build_report, render_report, run_loadtest
     from repro.service.loadgen import PROFILES as _profiles  # noqa: F401
     from repro.service.slo import (
-        append_slo_history,
         deterministic_view,
+        slo_history_entry,
         write_report,
     )
 
@@ -1314,13 +1299,9 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     report, result = one_run()
     if args.verify_determinism:
         second, _ = one_run()
-        first_view = json_module.dumps(
-            deterministic_view(report), sort_keys=True
-        )
-        second_view = json_module.dumps(
-            deterministic_view(second), sort_keys=True
-        )
-        if first_view != second_view:
+        if dumps(deterministic_view(report)) != dumps(
+            deterministic_view(second)
+        ):
             print("error: loadtest is not deterministic — two runs with "
                   "the same seed produced different reports",
                   file=sys.stderr)
@@ -1339,44 +1320,36 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         write_spans_jsonl(result.spans, spans_path)
         print(f"wrote {len(result.spans)} span tree(s) to {spans_path}")
     if args.history:
-        entry = append_slo_history(report, args.history)
+        entry = slo_history_entry(report)
+        append_jsonl(args.history, entry)
         print(f"appended p99={entry['p99']:.4f}s "
               f"shed={entry['shed_rate']:.3f} to {args.history}")
     if args.json:
-        print(json_module.dumps(report, indent=2, sort_keys=True))
+        print(dumps(report), end="")
     else:
         print(render_report(report))
     return 0 if report["sessions"]["unexpected_errors"] == 0 else 1
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    import json as json_module
-
     if args.slo_command == "trend":
-        from repro.service.slo import (
-            load_slo_history,
-            render_slo_trend,
-            summarize_slo_trend,
-        )
+        from repro.service.slo import SLO_LEDGER
 
-        entries = load_slo_history(args.history)
+        entries = SLO_LEDGER.load(args.history)
         if args.json:
-            print(json_module.dumps(
-                [
-                    {
-                        "metric": trend.name,
-                        "points": trend.points,
-                        "first": trend.first,
-                        "last": trend.last,
-                        "latest_change": trend.latest_change,
-                        "overall_change": trend.overall_change,
-                    }
-                    for trend in summarize_slo_trend(entries, last=args.last)
-                ],
-                indent=2, sort_keys=True,
-            ))
+            print(dumps([
+                {
+                    "metric": trend.name,
+                    "points": trend.points,
+                    "first": trend.first,
+                    "last": trend.last,
+                    "latest_change": trend.latest_change,
+                    "overall_change": trend.overall_change,
+                }
+                for trend in SLO_LEDGER.summarize(entries, last=args.last)
+            ]), end="")
         else:
-            print(render_slo_trend(entries, last=args.last))
+            print(SLO_LEDGER.render(entries, last=args.last))
         return 0
 
     # waterfall
@@ -1410,13 +1383,9 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 
 def _cmd_growth(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.analysis.growth import (
         DEFAULT_MAX_N,
         QUICK_MAX_N,
-        compare_growth,
-        load_growth_json,
         run_growth_experiment,
         write_growth_json,
     )
@@ -1438,7 +1407,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
         path = write_growth_json(report, args.out)
         print(f"wrote {path}", file=sys.stderr)
     if args.json:
-        print(_json.dumps(report, indent=2, sort_keys=True))
+        print(dumps(report), end="")
     else:
         checks = report["checks"]
         print(f"label={report['label']} seed={report['seed']} "
@@ -1446,14 +1415,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
               f"ordering={' <= '.join(checks['observed_ordering'])} "
               f"growth_ratio={checks['growth_ratio']}x "
               f"checks={'ok' if checks['ok'] else 'FAILED'}")
-    ok = bool(report["checks"]["ok"])
-    if args.baseline is not None:
-        matches, message = compare_growth(
-            load_growth_json(args.baseline), report
-        )
-        print(message, file=sys.stderr)
-        ok = ok and matches
-    return 0 if ok else 1
+    return 0 if report["checks"]["ok"] else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.fuzz.scenario import Scenario, ScenarioOutcome, run_scenario
-from repro.jsonio import expect_versioned, load_json_file
+from repro.jsonio import expect_versioned, load_json_file, write_json
 
 __all__ = [
     "CORPUS_VERSION",
@@ -78,13 +78,6 @@ class CorpusCase:
             note=str(data.get("note", "")),
         )
 
-    def canonical_bytes(self) -> bytes:
-        """Byte-stable rendering: sorted keys, 2-space indent, one trailing
-        newline — stable across Python versions and diff-friendly in git."""
-        return (
-            json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
-        ).encode("utf-8")
-
     def identity_bytes(self) -> bytes:
         """What makes two cases "the same bug": scenario + oracles.
 
@@ -108,11 +101,9 @@ def case_filename(case: CorpusCase) -> str:
 
 def save_case(case: CorpusCase, corpus_dir: Path) -> Path:
     """Write ``case`` into ``corpus_dir`` (idempotent); returns the path."""
-    corpus_dir = Path(corpus_dir)
-    corpus_dir.mkdir(parents=True, exist_ok=True)
-    path = corpus_dir / case_filename(case)
+    path = Path(corpus_dir) / case_filename(case)
     if not path.exists():
-        path.write_bytes(case.canonical_bytes())
+        write_json(case.to_json(), path)
     return path
 
 

@@ -23,7 +23,6 @@ many workers the producing campaign used.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -32,7 +31,7 @@ from repro.analysis.theory import predicted_attribution
 from repro.fuzz.corpus import CorpusCase
 from repro.fuzz.scenario import Scenario, run_scenario
 from repro.fuzz.stacks import get_stack
-from repro.jsonio import expect_versioned
+from repro.jsonio import expect_versioned, write_json
 from repro.obs.analyze import (
     ANALYSIS_SCHEMA_VERSION,
     AttributionReport,
@@ -137,18 +136,8 @@ class CaseExplanation:
             ),
         )
 
-    def canonical_bytes(self) -> bytes:
-        """Byte-stable rendering (sorted keys, 2-space indent, trailing
-        newline), matching the corpus-case convention."""
-        return (
-            json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
-        ).encode("utf-8")
-
     def write(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(self.canonical_bytes())
-        return path
+        return write_json(self.to_json(), path)
 
     def render(self) -> str:
         """Human-readable triage summary for terminal output."""

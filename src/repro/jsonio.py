@@ -1,4 +1,5 @@
-"""Persisted JSON: one version check, one file loader, one JSONL ledger.
+"""Persisted JSON: one canonical writer, one version check, one file
+loader, one JSONL ledger.
 
 Every artifact this package persists — corpus cases, probe ladders,
 growth curves, bench and SLO reports, traces, span trees and the trend
@@ -8,6 +9,12 @@ a ``"kind"``.  Readers refuse a non-object, a foreign version or a wrong
 kind with :class:`~repro.errors.ConfigurationError` instead of guessing:
 silently misreading evidence from another schema generation is worse than
 refusing it.
+
+Every whole-file artifact is written in one canonical form by
+:func:`write_json` (its string form is :func:`dumps`): 2-space indent,
+sorted keys, one trailing newline.  That form is a pure function of the
+parsed content, so a deterministic report is gated by regenerating it and
+comparing bytes (``cmp``) with the committed copy.
 
 JSONL ledgers (bench history, SLO history, traces) are appended one line
 at a time, so a writer killed mid-append leaves at most one torn *final*
@@ -21,15 +28,68 @@ write.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import warnings
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple, TypeVar, Union
 
 from repro.errors import ConfigurationError
 
-__all__ = ["append_jsonl", "expect_versioned", "iter_jsonl", "load_json_file"]
+__all__ = [
+    "append_jsonl",
+    "dumps",
+    "expect_versioned",
+    "git_sha",
+    "iter_jsonl",
+    "load_json_file",
+    "write_json",
+]
 
 T = TypeVar("T")
+
+
+def dumps(data: Any) -> str:
+    """The canonical text of a persisted report: 2-space indent, sorted
+    keys, one trailing newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(
+    data: Any, path: Union[str, Path], *, dir_name: Optional[str] = None
+) -> Path:
+    """Write ``data`` canonically to ``path``; returns the path written.
+
+    With ``dir_name``, an existing directory — or a path spelled with a
+    trailing slash, which is then created — gets the file ``dir_name``
+    inside it.  Parent directories are created.
+    """
+    target = Path(path)
+    if dir_name is not None and (
+        str(path).endswith(("/", os.sep)) or target.is_dir()
+    ):
+        target = target / dir_name
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(dumps(data), encoding="utf-8")
+    return target
+
+
+def git_sha() -> str:
+    """The checkout's ``HEAD`` commit, or ``"unknown"`` outside a checkout.
+
+    Bench reports and the bench and SLO ledger lines stamp it.
+    """
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=10,
+            cwd=Path(__file__).resolve().parent,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    if completed.returncode != 0:
+        return "unknown"
+    return completed.stdout.strip() or "unknown"
 
 
 def expect_versioned(

@@ -80,20 +80,18 @@ from repro.obs.timeline import (
 )
 from repro.obs.tracing import TraceRecorder
 from repro.obs.trend import (
+    BENCH_LEDGER,
     TREND_SCHEMA_VERSION,
     Trend,
     TrendLedger,
-    append_history,
     history_entry,
-    load_history,
-    render_trend,
-    summarize_trend,
 )
 
 __all__ = [
     "ANALYSIS_SCHEMA_VERSION",
     "AdoptionStep",
     "AttributionReport",
+    "BENCH_LEDGER",
     "BENCH_SCHEMA_VERSION",
     "BenchComparison",
     "CaseComparison",
@@ -113,7 +111,6 @@ __all__ = [
     "TraceRecorder",
     "Trend",
     "TrendLedger",
-    "append_history",
     "attribute_steps",
     "build_lineages",
     "compare_bench",
@@ -122,15 +119,12 @@ __all__ = [
     "explain_disagreement",
     "history_entry",
     "load_bench_json",
-    "load_history",
     "merge_snapshots",
     "read_trace_jsonl",
     "render_timeline",
     "render_timeline_html",
-    "render_trend",
     "render_waterfall",
     "render_waterfall_html",
     "run_bench_suite",
-    "summarize_trend",
     "write_trace_jsonl",
 ]

@@ -45,10 +45,8 @@ still catching step-loop pessimizations, which tend to be multiplicative.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
-import subprocess
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -56,7 +54,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.jsonio import expect_versioned, load_json_file
+from repro.jsonio import expect_versioned, git_sha, load_json_file, write_json
 from repro.obs.metrics import MetricsHook, MetricsRegistry, merge_snapshots
 from repro.runtime.adaptive import AdaptiveAdversary, run_adaptive_programs
 from repro.runtime.operations import Read, Write
@@ -442,20 +440,6 @@ VECTORIZED_SUITE_NAMES: Tuple[str, ...] = (
 # ----- report construction ---------------------------------------------------
 
 
-def _git_sha() -> str:
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=Path(__file__).resolve().parent,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    if completed.returncode != 0:
-        return "unknown"
-    return completed.stdout.strip() or "unknown"
-
-
 def _env_fingerprint() -> Dict[str, Any]:
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -527,37 +511,22 @@ def run_bench_suite(
         "quick": quick,
         "seed": seed,
         "created_unix": time.time(),
-        "git_sha": _git_sha(),
+        "git_sha": git_sha(),
         "env": _env_fingerprint(),
         "elapsed_seconds": time.perf_counter() - started,
         "cases": cases,
     }
 
 
-def bench_filename(label: str) -> str:
-    """Canonical on-disk name for a labeled report."""
-    return f"BENCH_{label}.json"
-
-
 def write_bench_json(
     report: Dict[str, Any], path: Union[str, Path]
 ) -> Path:
-    """Write a report canonically (sorted keys, trailing newline).
-
-    If ``path`` is an existing directory — or is spelled with a trailing
-    slash, in which case it is created — the file is named
-    ``BENCH_<label>.json`` inside it.
-    """
-    wants_dir = str(path).endswith(("/", os.sep))
-    path = Path(path)
-    if path.is_dir() or wants_dir:
-        path = path / bench_filename(str(report.get("label", "local")))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+    """Write a report canonically; a directory target (existing, or spelled
+    with a trailing slash) gets the file ``BENCH_<label>.json``."""
+    return write_json(
+        report, path,
+        dir_name=f"BENCH_{report.get('label', 'local')}.json",
     )
-    return path
 
 
 def load_bench_json(path: Union[str, Path]) -> Dict[str, Any]:
@@ -730,4 +699,4 @@ def compare_bench(
     return comparison
 
 
-__all__ += ["DEFAULT_THRESHOLD", "VECTORIZED_SUITE_NAMES", "bench_filename"]
+__all__ += ["DEFAULT_THRESHOLD", "VECTORIZED_SUITE_NAMES"]

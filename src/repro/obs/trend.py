@@ -33,17 +33,14 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError
-from repro.jsonio import append_jsonl, expect_versioned, iter_jsonl
+from repro.jsonio import expect_versioned, iter_jsonl
 
 __all__ = [
+    "BENCH_LEDGER",
     "TREND_SCHEMA_VERSION",
     "Trend",
     "TrendLedger",
-    "append_history",
     "history_entry",
-    "load_history",
-    "render_trend",
-    "summarize_trend",
 ]
 
 #: Version stamped on every bench ledger line; bump on incompatible change.
@@ -207,31 +204,3 @@ def history_entry(report: Dict[str, Any]) -> Dict[str, Any]:
             for name, case in sorted(report["cases"].items())
         },
     }
-
-
-def append_history(
-    report: Dict[str, Any], path: Union[str, Path]
-) -> Dict[str, Any]:
-    """Append one report's ledger line to ``path``; returns the entry."""
-    entry = history_entry(report)
-    append_jsonl(path, entry)
-    return entry
-
-
-def load_history(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Load the bench ledger; foreign versions and kinds raise."""
-    return BENCH_LEDGER.load(path)
-
-
-def summarize_trend(
-    entries: Sequence[Dict[str, Any]], *, last: Optional[int] = None
-) -> List[Trend]:
-    """Per-case summary, cases sorted by name (the suite grows over time)."""
-    return BENCH_LEDGER.summarize(entries, last=last)
-
-
-def render_trend(
-    entries: Sequence[Dict[str, Any]], *, last: Optional[int] = None
-) -> str:
-    """The bench trend table."""
-    return BENCH_LEDGER.render(entries, last=last)

@@ -23,6 +23,7 @@ merely bound how long a host will wait for them.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Optional
 
@@ -37,13 +38,18 @@ class Deadline:
     """A wall-clock budget measured from construction time.
 
     ``Deadline(None)`` never expires, so callers can thread one object
-    through unconditionally.  ``remaining()`` is clamped at 0.
+    through unconditionally; a budget that is not finite (NaN, infinity)
+    would never expire either, so it is refused rather than accepted as a
+    silent ``None``.  ``remaining()`` is clamped at 0.
     """
 
     def __init__(self, seconds: Optional[float], *, clock=time.monotonic):
-        if seconds is not None and seconds <= 0:
+        if seconds is not None and not (
+            math.isfinite(seconds) and seconds > 0
+        ):
             raise ConfigurationError(
-                f"deadline must be positive (or None), got {seconds}"
+                f"deadline must be finite and positive (or None), "
+                f"got {seconds}"
             )
         self.seconds = seconds
         self._clock = clock

@@ -393,7 +393,8 @@ def _fast_orders(
     features NumPy dispatches to (it changes under
     ``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"``).
     Either way the bias is far below anything observable, and ``growth
-    --quick --baseline`` still matched byte for byte under that setting.
+    --quick`` still regenerated ``GROWTH_baseline.json`` byte for byte
+    under that setting.
     """
     n, rounds = plan.n, plan.rounds
     snapshot = plan.algorithm == "snapshot"

@@ -39,17 +39,14 @@ from repro.service.session import (
     SessionResponse,
 )
 from repro.service.slo import (
+    SLO_LEDGER,
     SLO_SCHEMA_VERSION,
     SLO_TREND_METRICS,
-    append_slo_history,
     build_report,
     deterministic_view,
     load_report,
-    load_slo_history,
     render_report,
-    render_slo_trend,
     slo_history_entry,
-    summarize_slo_trend,
     write_report,
 )
 from repro.service.spans import (
@@ -76,6 +73,7 @@ __all__ = [
     "PROFILES",
     "REJECTION_CODES",
     "SESSION_STATUSES",
+    "SLO_LEDGER",
     "SLO_SCHEMA_VERSION",
     "SLO_TREND_METRICS",
     "SPAN_NAMES",
@@ -93,23 +91,19 @@ __all__ = [
     "SpanRecorder",
     "VirtualTimeEventLoop",
     "WorkOutcome",
-    "append_slo_history",
     "attribute_phases",
     "build_report",
     "deterministic_view",
     "execute_session",
     "load_report",
-    "load_slo_history",
     "phase_sum",
     "read_spans_jsonl",
     "render_report",
-    "render_slo_trend",
     "run_loadtest",
     "run_virtual",
     "serve",
     "slo_history_entry",
     "span_digest",
-    "summarize_slo_trend",
     "tree_from_json",
     "tree_to_json",
     "write_spans_jsonl",

@@ -18,14 +18,12 @@ ledger and for operators who want the full registry.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.jsonio import append_jsonl, expect_versioned, load_json_file
-from repro.obs.trend import Trend, TrendLedger
+from repro.jsonio import expect_versioned, git_sha, load_json_file, write_json
+from repro.obs.trend import TrendLedger
 from repro.service.loadgen import LoadtestResult
 from repro.service.session import (
     COMPLETED,
@@ -40,15 +38,11 @@ __all__ = [
     "SLO_SCHEMA_VERSION",
     "SLO_LEDGER",
     "SLO_TREND_METRICS",
-    "append_slo_history",
     "build_report",
     "deterministic_view",
     "load_report",
-    "load_slo_history",
     "render_report",
-    "render_slo_trend",
     "slo_history_entry",
-    "summarize_slo_trend",
     "write_report",
 ]
 
@@ -244,10 +238,8 @@ def deterministic_view(report: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def write_report(report: Dict[str, Any], path: str) -> None:
-    """Write a report as canonical JSON (sorted keys, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Write a report as canonical JSON (:func:`repro.jsonio.write_json`)."""
+    write_json(report, path)
 
 
 def load_report(path: str) -> Dict[str, Any]:
@@ -338,8 +330,6 @@ def slo_history_entry(report: Dict[str, Any]) -> Dict[str, Any]:
     rate, goodput, attainment) plus enough identity (seed, profile, git
     SHA) to explain a shift.
     """
-    from repro.obs.bench import _git_sha
-
     if "sessions" not in report or "latency" not in report:
         raise ConfigurationError(
             "not an SLO report: missing 'sessions'/'latency'; build one "
@@ -352,7 +342,7 @@ def slo_history_entry(report: Dict[str, Any]) -> Dict[str, Any]:
         "seed": report.get("seed"),
         "profile": report.get("profile"),
         "chaos_stack": report.get("chaos_stack"),
-        "git_sha": _git_sha(),
+        "git_sha": git_sha(),
         "created_unix": report.get("wall_clock", {}).get("generated_unix"),
         "p50": report["latency"]["p50"],
         "p99": report["latency"]["p99"],
@@ -361,13 +351,6 @@ def slo_history_entry(report: Dict[str, Any]) -> Dict[str, Any]:
         "attainment": report["slo"]["attainment"],
         "unexpected_errors": report["sessions"]["unexpected_errors"],
     }
-
-
-def append_slo_history(report: Dict[str, Any], path: str) -> Dict[str, Any]:
-    """Append one report's ledger line to ``path``; returns the entry."""
-    entry = slo_history_entry(report)
-    append_jsonl(path, entry)
-    return entry
 
 
 #: The ledger fields `repro slo trend` tracks, in display order.  Latency
@@ -391,22 +374,3 @@ SLO_LEDGER = TrendLedger(
     digits=4,
     command="loadtest",
 )
-
-
-def load_slo_history(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Load the SLO ledger; foreign versions and kinds raise."""
-    return SLO_LEDGER.load(path)
-
-
-def summarize_slo_trend(
-    entries: Sequence[Dict[str, Any]], *, last: Optional[int] = None
-) -> List[Trend]:
-    """Per-metric summary, in :data:`SLO_TREND_METRICS` order."""
-    return SLO_LEDGER.summarize(entries, last=last)
-
-
-def render_slo_trend(
-    entries: Sequence[Dict[str, Any]], *, last: Optional[int] = None
-) -> str:
-    """The SLO trend table."""
-    return SLO_LEDGER.render(entries, last=last)

@@ -62,10 +62,3 @@ def test_out_of_model_cases_never_breach_hard_oracles(entry):
     assert report.outcome.status == "degraded", path.name
     breached = {v.oracle for v in report.outcome.violations} & HARD_ORACLES
     assert not breached, f"{path.name} breached hard oracles {breached}"
-
-
-def test_corpus_files_are_canonical_bytes():
-    """Committed files must be byte-identical to their canonical rendering,
-    so git diffs stay meaningful and dedup hashing stays stable."""
-    for path, case in CASES:
-        assert path.read_bytes() == case.canonical_bytes(), path.name

@@ -25,6 +25,7 @@ from repro.core.sifting_conciliator import SiftingConciliator
 from repro.core.snapshot_conciliator import SnapshotConciliator
 from repro.fuzz import FuzzConfig, load_corpus, run_fuzz_campaign
 from repro.fuzz.explain import explain_case
+from repro.jsonio import dumps
 from repro.obs.analyze import attribute_steps
 from repro.obs.tracing import TraceRecorder
 from repro.runtime.rng import SeedTree
@@ -92,7 +93,7 @@ class TestCorpusDisagreementReports:
         _, case = entry
         first = explain_case(case, wall_clock_seconds=120.0)
         second = explain_case(case, wall_clock_seconds=120.0)
-        assert first.canonical_bytes() == second.canonical_bytes()
+        assert dumps(first.to_json()) == dumps(second.to_json())
 
     @pytest.mark.parametrize(
         "entry", AGREEMENT_CASES[:1], ids=[case_id(e) for e in
@@ -117,7 +118,7 @@ class TestCorpusDisagreementReports:
         assert "pid_events_dropped=0" in rendered
         # And the counters survive the JSON roundtrip.
         roundtrip = type(explanation).from_json(
-            json.loads(explanation.canonical_bytes())
+            json.loads(dumps(explanation.to_json()))
         )
         assert roundtrip.trace_counters == counters
 

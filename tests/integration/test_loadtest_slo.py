@@ -21,6 +21,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.fuzz.stacks import get_service_chaos
+from repro.jsonio import append_jsonl, dumps
 from repro.service import (
     ServiceConfig,
     build_report,
@@ -29,14 +30,7 @@ from repro.service import (
     render_report,
     run_loadtest,
 )
-from repro.service.slo import (
-    SLO_TREND_METRICS,
-    append_slo_history,
-    load_slo_history,
-    render_slo_trend,
-    slo_history_entry,
-    summarize_slo_trend,
-)
+from repro.service.slo import SLO_LEDGER, SLO_TREND_METRICS, slo_history_entry
 from repro.service.spans import phase_sum, span_digest
 
 BASELINE_PATH = os.path.join(
@@ -55,10 +49,6 @@ def baseline_run(sessions=2000, seed=0):
     )
 
 
-def canonical(view):
-    return json.dumps(view, indent=2, sort_keys=True)
-
-
 class TestDeterminism:
     def test_same_seed_is_byte_identical(self):
         first = build_report(
@@ -67,14 +57,14 @@ class TestDeterminism:
         second = build_report(
             baseline_run(sessions=400), label="det", chaos_stack="baseline"
         )
-        assert canonical(deterministic_view(first)) == canonical(
+        assert dumps(deterministic_view(first)) == dumps(
             deterministic_view(second)
         )
 
     def test_different_seeds_differ(self):
         first = build_report(baseline_run(sessions=400, seed=0))
         second = build_report(baseline_run(sessions=400, seed=1))
-        assert canonical(deterministic_view(first)) != canonical(
+        assert dumps(deterministic_view(first)) != dumps(
             deterministic_view(second)
         )
 
@@ -149,7 +139,7 @@ class TestCommittedBaseline:
             slo_target_latency=committed["slo"]["target_latency"],
             chaos_stack=committed["chaos_stack"],
         )
-        assert canonical(deterministic_view(regenerated)) == canonical(
+        assert dumps(deterministic_view(regenerated)) == dumps(
             deterministic_view(committed)
         )
 
@@ -208,8 +198,8 @@ class TestHistoryLedger:
     def test_append_is_one_json_line_per_run(self, tmp_path):
         report = build_report(baseline_run(sessions=200))
         path = tmp_path / "ledger" / "SLO_history.jsonl"
-        append_slo_history(report, str(path))
-        append_slo_history(report, str(path))
+        append_jsonl(path, slo_history_entry(report))
+        append_jsonl(path, slo_history_entry(report))
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["kind"] == "repro-slo-history"
@@ -316,33 +306,33 @@ class TestSLOTrend:
             report = build_report(
                 baseline_run(sessions=150, seed=seed), label=f"run{seed}",
             )
-            append_slo_history(report, str(path))
+            append_jsonl(path, slo_history_entry(report))
         return path
 
     def test_load_summarize_roundtrip(self, tmp_path):
         path = self.make_history(tmp_path)
-        entries = load_slo_history(path)
+        entries = SLO_LEDGER.load(path)
         assert len(entries) == 3
-        trends = summarize_slo_trend(entries)
+        trends = SLO_LEDGER.summarize(entries)
         assert [t.name for t in trends] == list(SLO_TREND_METRICS)
         assert all(t.points == 3 for t in trends)
 
     def test_last_windows_the_ledger(self, tmp_path):
-        entries = load_slo_history(self.make_history(tmp_path))
-        trends = summarize_slo_trend(entries, last=1)
+        entries = SLO_LEDGER.load(self.make_history(tmp_path))
+        trends = SLO_LEDGER.summarize(entries, last=1)
         assert all(t.points == 1 for t in trends)
         assert all(t.latest_change is None for t in trends)
 
     def test_missing_file_is_an_empty_history(self, tmp_path):
-        assert load_slo_history(tmp_path / "absent.jsonl") == []
-        assert "empty" in render_slo_trend([])
+        assert SLO_LEDGER.load(tmp_path / "absent.jsonl") == []
+        assert "empty" in SLO_LEDGER.render([])
 
     def test_torn_final_line_is_tolerated_with_a_warning(self, tmp_path):
         path = self.make_history(tmp_path, runs=2)
         with open(path, "a") as handle:
             handle.write('{"v": 1, "kind": "repro-slo-his')
         with pytest.warns(RuntimeWarning, match="torn"):
-            entries = load_slo_history(path)
+            entries = SLO_LEDGER.load(path)
         assert len(entries) == 2
 
     def test_torn_interior_line_is_an_error(self, tmp_path):
@@ -350,7 +340,7 @@ class TestSLOTrend:
         good = path.read_text()
         path.write_text('{"torn\n' + good)
         with pytest.raises(ConfigurationError, match="line 1"):
-            load_slo_history(path)
+            SLO_LEDGER.load(path)
 
     def test_foreign_version_is_rejected(self, tmp_path):
         path = tmp_path / "history.jsonl"
@@ -358,7 +348,7 @@ class TestSLOTrend:
             json.dumps({"v": 9, "kind": "repro-slo-history"}) + "\n"
         )
         with pytest.raises(ConfigurationError, match="version 9"):
-            load_slo_history(path)
+            SLO_LEDGER.load(path)
 
     def test_foreign_kind_is_rejected(self, tmp_path):
         path = tmp_path / "history.jsonl"
@@ -366,10 +356,10 @@ class TestSLOTrend:
             json.dumps({"v": 1, "kind": "repro-bench-history"}) + "\n"
         )
         with pytest.raises(ConfigurationError, match="kind"):
-            load_slo_history(path)
+            SLO_LEDGER.load(path)
 
     def test_render_names_every_metric(self, tmp_path):
-        text = render_slo_trend(load_slo_history(self.make_history(tmp_path)))
+        text = SLO_LEDGER.render(SLO_LEDGER.load(self.make_history(tmp_path)))
         for metric in SLO_TREND_METRICS:
             assert metric in text
 

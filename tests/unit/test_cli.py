@@ -285,6 +285,13 @@ class TestFuzzCommand:
         assert code == 2
         assert "unknown stack" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seconds", ["nan", "inf"])
+    def test_non_finite_trial_wall_clock_is_refused(self, capsys, seconds):
+        code = main(["fuzz", "--trials", "1", "--no-shrink",
+                     "--trial-wall-clock", seconds])
+        assert code == 2
+        assert "finite and positive" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     @staticmethod
@@ -544,14 +551,15 @@ class TestFuzzExplain:
 class TestBenchTrendCommand:
     @staticmethod
     def _seed_history(path, values):
-        from repro.obs.trend import append_history
+        from repro.jsonio import append_jsonl
+        from repro.obs.trend import history_entry
 
         for index, value in enumerate(values):
-            append_history({
+            append_jsonl(path, history_entry({
                 "label": "t", "quick": True, "seed": 1,
                 "git_sha": f"sha{index}", "created_unix": index,
                 "cases": {"alpha": {"steps_per_sec": value}},
-            }, path)
+            }))
 
     def test_parser_history_flag_default_and_const(self):
         assert build_parser().parse_args(["bench"]).history is None
@@ -590,7 +598,7 @@ class TestBenchTrendCommand:
         assert "repro bench --history" in capsys.readouterr().out
 
     def test_bench_run_appends_history(self, tmp_path, capsys):
-        from repro.obs.trend import load_history
+        from repro.obs.trend import BENCH_LEDGER
 
         history = tmp_path / "h.jsonl"
         code = main(["bench", "--quick", "--suite", "consensus",
@@ -600,7 +608,7 @@ class TestBenchTrendCommand:
         captured = capsys.readouterr()
         assert code == 0
         assert "history" in captured.err
-        entries = load_history(history)
+        entries = BENCH_LEDGER.load(history)
         assert len(entries) == 1
         assert "consensus" in entries[0]["cases"]
 
@@ -700,26 +708,25 @@ class TestGrowthCommand:
         assert "checks=FAILED" in captured.out
         assert (tmp_path / "GROWTH_t.json").exists()
 
+    # The baseline gate regenerates the report with the recipe's flags and
+    # compares bytes with the committed copy (CI's scale-smoke ``cmp``).
+
     def test_growth_baseline_gate_matches_itself(self, capsys, tmp_path):
         pytest.importorskip("numpy")
-        main(["growth", "--max-n", "100", "--label", "a",
-              "--out", str(tmp_path)])
+        for out in ("first/", "second/"):
+            main(["growth", "--max-n", "100", "--label", "a",
+                  "--out", f"{tmp_path}/{out}"])
         capsys.readouterr()
-        code = main(["growth", "--max-n", "100", "--label", "b",
-                     "--baseline", str(tmp_path / "GROWTH_a.json")])
-        captured = capsys.readouterr()
-        assert "byte for byte" in captured.err
-        # Both runs fail only the separation self-check (two decades); the
-        # byte gate itself passed, proving label-independent determinism.
-        assert "diverges" not in captured.err
+        first = tmp_path / "first" / "GROWTH_a.json"
+        second = tmp_path / "second" / "GROWTH_a.json"
+        assert first.read_bytes() == second.read_bytes()
 
     def test_growth_baseline_gate_catches_divergence(self, capsys, tmp_path):
         pytest.importorskip("numpy")
-        main(["growth", "--max-n", "100", "--label", "a",
-              "--out", str(tmp_path)])
+        for out, seed in (("first/", "2012"), ("second/", "999")):
+            main(["growth", "--max-n", "100", "--label", "a",
+                  "--seed", seed, "--out", f"{tmp_path}/{out}"])
         capsys.readouterr()
-        code = main(["growth", "--max-n", "100", "--seed", "999",
-                     "--baseline", str(tmp_path / "GROWTH_a.json")])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "diverges" in captured.err
+        first = tmp_path / "first" / "GROWTH_a.json"
+        second = tmp_path / "second" / "GROWTH_a.json"
+        assert first.read_bytes() != second.read_bytes()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.jsonio import dumps, write_json
 from repro.fuzz import (
     CorpusCase,
     Scenario,
@@ -51,11 +52,11 @@ class TestCorpusCase:
         with pytest.raises(ConfigurationError, match="kind"):
             CorpusCase.from_json(data)
 
-    def test_canonical_bytes_are_stable_and_parse(self):
+    def test_canonical_bytes_are_stable_and_parse(self, tmp_path):
         case = make_case()
-        assert case.canonical_bytes() == case.canonical_bytes()
-        assert case.canonical_bytes().endswith(b"\n")
-        assert CorpusCase.from_json(json.loads(case.canonical_bytes())) == case
+        path = save_case(case, tmp_path)
+        assert path.read_text(encoding="utf-8") == dumps(case.to_json())
+        assert CorpusCase.from_json(json.loads(path.read_bytes())) == case
 
     def test_identity_excludes_provenance_note(self):
         a, b = make_case(note="campaign A"), make_case(note="campaign B")
@@ -102,7 +103,7 @@ class TestCorpusIo:
     def test_load_case_reads_utf8(self, tmp_path):
         case = make_case(note="δ-late trial → ε")
         path = tmp_path / "case-utf8.json"
-        path.write_bytes(case.canonical_bytes())
+        write_json(case.to_json(), path)
         assert load_case(path) == case
 
 

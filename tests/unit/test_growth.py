@@ -5,16 +5,13 @@ import pytest
 from repro import catalog
 from repro.analysis.growth import (
     GROWTH_SCHEMA_VERSION,
-    compare_growth,
     decades,
-    deterministic_view,
-    growth_filename,
-    load_growth_json,
     sparse_round_probe,
     trials_for,
     write_growth_json,
 )
 from repro.errors import ConfigurationError
+from repro.jsonio import dumps
 
 
 class TestSweepShape:
@@ -112,39 +109,11 @@ class TestSerialization:
         }
 
     def test_filename_and_directory_write(self, tmp_path):
-        assert growth_filename("baseline") == "GROWTH_baseline.json"
-        path = write_growth_json(self._report("quicktest"), tmp_path)
-        assert path.name == "GROWTH_quicktest.json"
-        assert load_growth_json(path)["label"] == "quicktest"
-
-    def test_load_rejects_foreign_version(self, tmp_path):
-        report = self._report()
-        report["v"] = 99
-        path = write_growth_json(report, tmp_path / "bad.json")
-        with pytest.raises(ConfigurationError, match="version"):
-            load_growth_json(path)
-
-    def test_load_rejects_missing_and_invalid(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="cannot be read"):
-            load_growth_json(tmp_path / "absent.json")
-        broken = tmp_path / "broken.json"
-        broken.write_text("{nope")
-        with pytest.raises(ConfigurationError, match="not valid JSON"):
-            load_growth_json(broken)
-
-    def test_deterministic_view_strips_only_label(self):
-        report = self._report("anything")
-        view = deterministic_view(report)
-        assert "label" not in view
-        assert view["seed"] == 1 and view["curves"] == {"snapshot": []}
-
-    def test_compare_ignores_label_and_names_divergent_key(self):
-        ok, message = compare_growth(self._report("a"), self._report("b"))
-        assert ok and "byte for byte" in message
-        changed = self._report("b")
-        changed["checks"] = {"ok": False}
-        ok, message = compare_growth(self._report("a"), changed)
-        assert not ok and "'checks'" in message
+        report = self._report("quicktest")
+        path = write_growth_json(report, tmp_path)
+        assert path == tmp_path / "GROWTH_quicktest.json"
+        assert path.read_text(encoding="utf-8") == dumps(report)
+        assert write_growth_json(report, tmp_path / "g.json").name == "g.json"
 
 
 class TestNumpyGate:

@@ -5,13 +5,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.growth import load_growth_json
 from repro.analysis.probe import ProbeReport
 from repro.errors import ConfigurationError
 from repro.fuzz.corpus import CorpusCase, load_case
 from repro.fuzz.explain import CaseExplanation
 from repro.fuzz.scenario import FuzzConfig, Scenario
-from repro.jsonio import append_jsonl, expect_versioned, iter_jsonl, load_json_file
+from repro.jsonio import (
+    append_jsonl,
+    dumps,
+    expect_versioned,
+    git_sha,
+    iter_jsonl,
+    load_json_file,
+    write_json,
+)
 from repro.memory.semantics import RegisterModel
 from repro.obs.analyze import (
     AttributionReport,
@@ -27,7 +34,7 @@ from repro.obs.events import (
     read_trace_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trend import history_entry, load_history
+from repro.obs.trend import BENCH_LEDGER, history_entry
 from repro.runtime.adaptive import AdaptiveSpec
 from repro.runtime.adversary import AdversarySpec
 from repro.runtime.faults import (
@@ -39,7 +46,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.scheduler import ExplicitSchedule
 from repro.service.session import SessionRequest, SessionResponse
-from repro.service.slo import load_report, load_slo_history
+from repro.service.slo import SLO_LEDGER, load_report
 from repro.service.spans import Span, tree_from_json, tree_to_json
 from repro.workloads.schedules import ScheduleSpec
 
@@ -121,6 +128,61 @@ class TestIterJsonl:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot be read"):
             list(iter_jsonl(tmp_path / "absent.jsonl", "ledger", parse_v1))
+
+
+class TestCanonicalWriter:
+    def test_indented_sorted_with_one_trailing_newline(self):
+        assert dumps({"b": 1, "a": ["é"]}) == (
+            '{\n  "a": [\n    "\\u00e9"\n  ],\n  "b": 1\n}\n'
+        )
+
+    def test_write_creates_parents_and_writes_the_string_form(self, tmp_path):
+        path = write_json({"x": 1}, tmp_path / "deep" / "r.json")
+        assert path == tmp_path / "deep" / "r.json"
+        assert path.read_text(encoding="utf-8") == dumps({"x": 1})
+
+    def test_dir_name_applies_to_directory_targets_only(self, tmp_path):
+        assert write_json({}, tmp_path, dir_name="R_a.json") == (
+            tmp_path / "R_a.json"
+        )
+        fresh = write_json({}, f"{tmp_path}/fresh/", dir_name="R_b.json")
+        assert fresh == tmp_path / "fresh" / "R_b.json"
+        assert fresh.is_file()
+        plain = write_json({}, tmp_path / "R_c.json", dir_name="unused.json")
+        assert plain == tmp_path / "R_c.json"
+
+    def test_git_sha_is_a_commit_or_unknown(self):
+        sha = git_sha()
+        assert sha == "unknown" or (
+            len(sha) == 40 and set(sha) <= set("0123456789abcdef")
+        )
+
+
+COMMITTED_ARTIFACTS = sorted(
+    path.relative_to(REPO).as_posix()
+    for pattern in ("benchmarks/*.json", "tests/corpus/*.json")
+    for path in REPO.glob(pattern)
+)
+
+
+def test_committed_artifacts_are_found():
+    assert len(COMMITTED_ARTIFACTS) >= 15
+
+
+@pytest.mark.parametrize("relative", COMMITTED_ARTIFACTS,
+                         ids=lambda relative: relative.rsplit("/", 1)[-1])
+def test_committed_artifact_is_canonical(relative):
+    """Every committed report and corpus case is byte-identical to the
+    canonical writer's rendering of its parsed content, so regenerating
+    one and comparing bytes is a valid gate, git diffs stay meaningful,
+    and corpus dedup hashing stays stable.  Corpus cases are parsed as
+    :class:`CorpusCase`, so their files also round-trip through it."""
+    path = REPO / relative
+    if relative.startswith("tests/corpus/"):
+        content = load_case(path).to_json()
+    else:
+        content = json.loads(path.read_text(encoding="utf-8"))
+    assert path.read_text(encoding="utf-8") == dumps(content)
 
 
 class TestAppendJsonl:
@@ -282,15 +344,13 @@ VERSIONED_READERS = [
                  "v", id="tree_from_json"),
     pytest.param(committed("benchmarks/BENCH_baseline.json"),
                  via_file(load_bench_json), "v", id="load_bench_json"),
-    pytest.param(committed("benchmarks/GROWTH_baseline.json"),
-                 via_file(load_growth_json), "v", id="load_growth_json"),
     pytest.param(committed("benchmarks/SLO_baseline.json"),
                  via_file(load_report), "v", id="load_report"),
     pytest.param(lambda: history_entry({
         "label": "t", "git_sha": "abc", "cases": {"x": {"steps_per_sec": 9}},
-    }), via_ledger(load_history), "v", id="load_history"),
+    }), via_ledger(BENCH_LEDGER.load), "v", id="load_history"),
     pytest.param(lambda: {"v": 1, "kind": "repro-slo-history", "p50": 0.1},
-                 via_ledger(load_slo_history), "v", id="load_slo_history"),
+                 via_ledger(SLO_LEDGER.load), "v", id="load_slo_history"),
 ]
 
 
