@@ -131,7 +131,7 @@ def _add_model_arguments(
 def _parse_model_arguments(args: argparse.Namespace):
     """The (register_model, adversary) pair an argparse namespace pins."""
     from repro.memory.semantics import RegisterModel
-    from repro.runtime.adaptive import ADAPTIVE_FAMILIES, AdaptiveSpec
+    from repro.runtime.adaptive import AdaptiveSpec
     from repro.runtime.adversary import AdversarySpec
 
     model = None
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = sub.add_parser(
         "explain",
-        help="replay one corpus case under a full (unsampled) trace and "
+        help="replay one corpus case under a full trace and "
              "print its persona-lineage, disagreement, and "
              "step-attribution analysis",
     )
@@ -969,8 +969,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     from repro.fuzz import load_corpus, replay_case
 
-    explain_requested = getattr(args, "explain", False)
-    explain_dir = getattr(args, "explain_dir", None)
+    explain_requested = args.explain
+    explain_dir = args.explain_dir
     if explain_dir is not None and not explain_requested:
         print("error: --explain-dir requires --explain", file=sys.stderr)
         return 2
@@ -1122,7 +1122,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         write_bench_json,
     )
 
-    if getattr(args, "bench_command", None) == "compare":
+    if args.bench_command == "compare":
         comparison = compare_bench(
             load_bench_json(args.old),
             load_bench_json(args.new),
@@ -1134,7 +1134,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(comparison.render())
         return 0 if comparison.ok else 1
 
-    if getattr(args, "bench_command", None) == "trend":
+    if args.bench_command == "trend":
         from repro.obs.trend import BENCH_LEDGER
 
         entries = BENCH_LEDGER.load(args.history)
@@ -1269,7 +1269,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_loadtest(args: argparse.Namespace) -> int:
     from repro.jsonio import append_jsonl
     from repro.service import build_report, render_report, run_loadtest
-    from repro.service.loadgen import PROFILES as _profiles  # noqa: F401
     from repro.service.slo import (
         deterministic_view,
         slo_history_entry,
@@ -1306,10 +1305,11 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                   "the same seed produced different reports",
                   file=sys.stderr)
             return 1
-        print("determinism verified: two runs, identical reports")
+        print("determinism verified: two runs, identical reports",
+              file=sys.stderr)
     if args.out:
         write_report(report, args.out)
-        print(f"wrote {args.out}")
+        print(f"wrote {args.out}", file=sys.stderr)
     if args.spans:
         import os
 
@@ -1318,12 +1318,14 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         os.makedirs(args.spans, exist_ok=True)
         spans_path = os.path.join(args.spans, f"SPANS_{args.label}.jsonl")
         write_spans_jsonl(result.spans, spans_path)
-        print(f"wrote {len(result.spans)} span tree(s) to {spans_path}")
+        print(f"wrote {len(result.spans)} span tree(s) to {spans_path}",
+              file=sys.stderr)
     if args.history:
         entry = slo_history_entry(report)
         append_jsonl(args.history, entry)
         print(f"appended p99={entry['p99']:.4f}s "
-              f"shed={entry['shed_rate']:.3f} to {args.history}")
+              f"shed={entry['shed_rate']:.3f} to {args.history}",
+              file=sys.stderr)
     if args.json:
         print(dumps(report), end="")
     else:

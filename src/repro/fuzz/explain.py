@@ -3,7 +3,7 @@ distill the analytics that answer "why did this happen?".
 
 This module is the glue between the fuzz layer and the PR 5 trace
 analytics (:mod:`repro.obs.analyze`): it replays a scenario or corpus
-case with an unsampled :class:`~repro.obs.tracing.TraceRecorder`
+case with a :class:`~repro.obs.tracing.TraceRecorder`
 attached, annotates the conciliator's round bookkeeping into the trace,
 and packages the resulting :class:`~repro.obs.analyze.DisagreementReport`
 and :class:`~repro.obs.analyze.AttributionReport` (when the stack maps to
@@ -70,13 +70,6 @@ class CaseExplanation:
     disagreement: Optional[DisagreementReport]
     attribution: Optional[AttributionReport]
     note: str = ""
-    #: The recorder's retention counters (``TraceRecorder.metadata()``):
-    #: recorded_total / retained / steps_observed / ring_dropped /
-    #: pid_events_dropped.  ``None`` only for explanations written before
-    #: the counters existed; fresh replays always carry them, and an
-    #: unsampled, uncapped replay has both drop counters at zero — the
-    #: "this trace is complete" receipt.
-    trace_counters: Optional[Dict[str, int]] = None
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -97,10 +90,6 @@ class CaseExplanation:
                 else self.attribution.to_json()
             ),
             "note": self.note,
-            "trace_counters": (
-                None if self.trace_counters is None
-                else dict(self.trace_counters)
-            ),
         }
 
     @classmethod
@@ -127,13 +116,6 @@ class CaseExplanation:
                 else AttributionReport.from_json(attribution)
             ),
             note=str(data.get("note", "")),
-            trace_counters=(
-                None if data.get("trace_counters") is None
-                else {
-                    str(key): int(value)
-                    for key, value in data["trace_counters"].items()
-                }
-            ),
         )
 
     def write(self, path: Union[str, Path]) -> Path:
@@ -148,13 +130,7 @@ class CaseExplanation:
             f"  status: {self.status}"
             + (f"; oracles fired: {', '.join(self.oracles)}"
                if self.oracles else ""),
-            f"  trace: {len(self.events)} event(s)"
-            + (
-                f" (ring_dropped={self.trace_counters['ring_dropped']}, "
-                f"pid_events_dropped="
-                f"{self.trace_counters['pid_events_dropped']})"
-                if self.trace_counters is not None else ""
-            ),
+            f"  trace: {len(self.events)} event(s)",
         ]
         if self.disagreement is not None:
             lines.append("")
@@ -178,7 +154,7 @@ def explain_scenario(
     wall_clock_seconds: Optional[float] = None,
     note: str = "",
 ) -> CaseExplanation:
-    """Replay ``scenario`` under a full (unsampled) trace and analyze it.
+    """Replay ``scenario`` under a full trace and analyze it.
 
     The replay re-runs the scenario exactly as the fuzzer did — same
     oracles, same classification — with a :class:`TraceRecorder` attached,
@@ -187,8 +163,7 @@ def explain_scenario(
     declares a theory prediction in
     :attr:`repro.fuzz.stacks.StackSpec.attribution`).
     """
-    recorder = TraceRecorder(capacity=None, sample_every=1,
-                             include_values=True)
+    recorder = TraceRecorder()
     outcome = run_scenario(
         scenario, wall_clock_seconds=wall_clock_seconds, trace=recorder,
     )
@@ -215,7 +190,6 @@ def explain_scenario(
         disagreement=disagreement,
         attribution=attribution,
         note=note,
-        trace_counters=recorder.metadata(),
     )
 
 

@@ -9,9 +9,9 @@ substrate the rest of the repository plugs into:
   schema covering steps, register reads/writes, snapshot scans, persona
   adoptions, round transitions, crashes, and stalls;
 - :mod:`repro.obs.tracing` — :class:`TraceRecorder`, a
-  :class:`~repro.runtime.faults.StepHook` that records structured events
-  with ring-buffer and sampling modes, and is zero-cost when not attached
-  (the simulator skips all hook machinery when it has no hooks);
+  :class:`~repro.runtime.faults.StepHook` that records every structured
+  event of a run, and is zero-cost when not attached (the simulator
+  skips all hook machinery when it has no hooks);
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry` counters/histograms
   whose snapshots merge deterministically across the parallel trial engine
   (bit-identical to a serial sweep, the same contract the PR 1 engine

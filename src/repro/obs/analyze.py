@@ -21,9 +21,8 @@ Both report types serialize with ``"v": ANALYSIS_SCHEMA_VERSION`` and
 their readers reject foreign versions loudly, the same contract every
 other JSON artifact in this repository makes.
 
-The analyses assume an *unsampled* trace (``TraceRecorder`` defaults:
-``capacity=None``, ``sample_every=1``): a thinned trace silently
-undercounts steps and drops adoption evidence.
+The analyses read the whole trace of a run, which is what
+:class:`~repro.obs.tracing.TraceRecorder` always records.
 """
 
 from __future__ import annotations
@@ -95,8 +94,7 @@ class AdoptionStep:
     round-``k-1`` shared object.  ``writer_pid``/``write_step`` name the
     write the adoption read, reconstructed best-effort by matching the
     persona against operation payloads; they stay ``None`` when the
-    process kept its own persona or the trace lacks the evidence (values
-    stripped, ring buffer eviction).
+    process kept its own persona or the trace lacks the evidence.
     """
 
     round_number: int

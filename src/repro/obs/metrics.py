@@ -62,6 +62,10 @@ METRICS_SCHEMA_VERSION = 1
 #: Default cap on retained histogram samples before decimation kicks in.
 DEFAULT_MAX_SAMPLES = 4096
 
+#: :class:`MetricsHook` samples the scheduler queue depth every this many
+#: charged steps.
+QUEUE_DEPTH_EVERY = 64
+
 
 class Counter:
     """A monotonically accumulating numeric metric."""
@@ -320,28 +324,12 @@ class MetricsHook(StepHook):
     this hook — the bench harness measures time at the case level, where
     nondeterminism is expected and quarantined.
 
-    Args:
-        registry: destination for every metric.
-        per_pid: also keep per-process step counters (``sim.steps{pid=}``);
-            off by default to bound key cardinality in wide sweeps.
-        queue_depth_every: observe the scheduler's unfinished-process count
-            every ``k`` charged steps (0 disables the queue-depth series).
+    Every ``QUEUE_DEPTH_EVERY`` charged steps it also observes the
+    scheduler's unfinished-process count (``sched.queue_depth``).
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        *,
-        per_pid: bool = False,
-        queue_depth_every: int = 64,
-    ):
-        if queue_depth_every < 0:
-            raise ConfigurationError(
-                f"queue_depth_every must be >= 0, got {queue_depth_every}"
-            )
+    def __init__(self, registry: MetricsRegistry):
         self.registry = registry
-        self.per_pid = per_pid
-        self.queue_depth_every = queue_depth_every
         self._simulator: Optional["Simulator"] = None
         self._steps_by_pid: Dict[int, int] = {}
         self._steps_seen = 0
@@ -378,11 +366,8 @@ class MetricsHook(StepHook):
             )
         object_ops.value += 1
         self._steps_by_pid[pid] = self._steps_by_pid.get(pid, 0) + 1
-        if self.per_pid:
-            registry.counter("sim.steps_by_pid", pid=pid).inc()
         self._steps_seen += 1
-        if (self.queue_depth_every
-                and self._steps_seen % self.queue_depth_every == 0
+        if (self._steps_seen % QUEUE_DEPTH_EVERY == 0
                 and self._simulator is not None):
             registry.histogram("sched.queue_depth").observe(
                 len(self._simulator._unfinished)

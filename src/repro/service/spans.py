@@ -322,8 +322,7 @@ class SpanRecorder:
     ``capacity=None`` keeps every tree (the loadtest mode: attribution
     needs all of them); a bounded capacity keeps the newest ``k`` for
     long-lived servers, counting evictions in :attr:`dropped` instead of
-    discarding silently — the same contract the
-    :class:`~repro.obs.tracing.TraceRecorder` ring buffer honours.
+    discarding silently.
     """
 
     def __init__(self, capacity: Optional[int] = None):

@@ -393,7 +393,7 @@ class TestSpansCli:
 
         code, _, spans_path = self.run_with_spans(tmp_path)
         assert code == 0
-        assert "wrote 120 span tree(s)" in capsys.readouterr().out
+        assert "wrote 120 span tree(s)" in capsys.readouterr().err
         assert len(read_spans_jsonl(spans_path)) == 120
 
     def test_report_digest_re_verifies_against_the_spans_file(
@@ -475,10 +475,9 @@ class TestLoadtestCli:
             "--json",
         ])
         assert code == 0
-        out = capsys.readouterr().out
-        verdict, _, payload = out.partition("\n")
-        assert "determinism verified" in verdict
-        assert json.loads(payload)["v"] == 1
+        captured = capsys.readouterr()
+        assert "determinism verified" in captured.err
+        assert json.loads(captured.out)["v"] == 1
 
     def test_unknown_chaos_stack_is_a_loud_error(self, capsys):
         code = main([

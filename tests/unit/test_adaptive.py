@@ -262,17 +262,19 @@ class TestRunStart:
         registry = MetricsRegistry()
         register = AtomicRegister("r")
         result = run_adaptive_programs(
-            [writes(register, 4)] * 3, ShortestFirstAdversary(), SeedTree(0),
+            [writes(register, 40)] * 4, ShortestFirstAdversary(), SeedTree(0),
             hooks=[WaitFreedomWatchdog(50, metrics=registry),
-                   MetricsHook(registry, queue_depth_every=1)],
+                   MetricsHook(registry)],
         )
         assert registry.counter_value("run.count") == 1
         assert registry.counter_value("monitor.wait_freedom.step_budget") == 50
+        # The queue depth is sampled every 64 charged steps.
+        assert result.total_steps == 160
         depth = registry.histogram_for("sched.queue_depth")
-        assert depth is not None and depth.count == result.total_steps
-        # Shortest-first interleaves the three writers to the end, and a
-        # step is sampled before its process leaves the live set.
-        assert depth.max == 3.0 and depth.min == 1.0
+        assert depth is not None and depth.count == result.total_steps // 64
+        # Shortest-first interleaves the four writers to the end, so every
+        # sample sees all of them still live.
+        assert depth.max == 4.0 and depth.min == 4.0
 
     def test_campaign_counts_every_run(self):
         """Every scenario runs once, oblivious or adaptive, so ``run.count``
@@ -287,20 +289,17 @@ class TestRunStart:
                                    workers=1, collect_metrics=True)
         assert report.metrics["counters"]["run.count"] == 60
 
-    def test_trace_reservoir_applies(self):
+    def test_trace_records_run_start(self):
         from repro.core.sifting_conciliator import SiftingConciliator
         from repro.obs.tracing import TraceRecorder
 
         n = 8
-        recorder = TraceRecorder(pid_reservoir=2)
+        recorder = TraceRecorder()
         run_adaptive_programs(
             [SiftingConciliator(n).program] * n, ShortestFirstAdversary(),
             SeedTree(5), inputs=list(range(n)), hooks=[recorder],
         )
-        assert len(recorder.sampled_pids) == 2
-        traced = {event.pid for event in recorder.events
-                  if event.pid is not None}
-        assert traced <= recorder.sampled_pids
+        assert recorder.events[0].kind == "run-start"
         start = recorder.events_of_kind("run-start")
         assert len(start) == 1
         assert start[0].payload == {"n": n, "step_limit": 50_000_000}

@@ -1,8 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.jsonio import dumps
 
 
 class TestParser:
@@ -730,3 +735,85 @@ class TestGrowthCommand:
         first = tmp_path / "first" / "GROWTH_a.json"
         second = tmp_path / "second" / "GROWTH_a.json"
         assert first.read_bytes() != second.read_bytes()
+
+
+_CORPUS_CASE = (Path(__file__).resolve().parents[1] / "corpus"
+                / "case-2cc0577a99d0ffd0.json")
+
+
+def _replay_argv(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(_CORPUS_CASE, corpus)
+    return ["replay", "--corpus", str(corpus), "--json"]
+
+
+def _growth_argv(tmp_path):
+    pytest.importorskip("numpy")
+    return ["growth", "--max-n", "10", "--label", "t",
+            "--out", str(tmp_path / "GROWTH_t.json"), "--json"]
+
+
+def _bench_compare_argv(tmp_path):
+    old = TestBenchCommand._write_report(tmp_path / "old.json",
+                                         {"alpha": 1000.0})
+    new = TestBenchCommand._write_report(tmp_path / "new.json",
+                                         {"alpha": 900.0})
+    return ["bench", "compare", str(old), str(new), "--json"]
+
+
+def _bench_trend_argv(tmp_path):
+    history = tmp_path / "h.jsonl"
+    TestBenchTrendCommand._seed_history(history, [100.0, 150.0])
+    return ["bench", "trend", "--history", str(history), "--json"]
+
+
+def _loadtest_argv(tmp_path):
+    return ["loadtest", "--profile", "burst", "--sessions", "50",
+            "--seed", "0", "--label", "t", "--verify-determinism",
+            "--out", str(tmp_path / "SLO_t.json"),
+            "--spans", str(tmp_path / "spans"),
+            "--history", str(tmp_path / "h.jsonl"), "--json"]
+
+
+def _slo_trend_argv(tmp_path):
+    history = tmp_path / "h.jsonl"
+    for seed in ("0", "1"):
+        main(["loadtest", "--profile", "burst", "--sessions", "20",
+              "--seed", seed, "--history", str(history)])
+    return ["slo", "trend", "--history", str(history), "--json"]
+
+
+JSON_COMMANDS = {
+    "probe": lambda tmp_path: ["probe", "--n", "4", "--trials", "5",
+                               "--workers", "0", "--json"],
+    "fuzz": lambda tmp_path: ["fuzz", "--trials", "4", "--seed", "5",
+                              "--stacks", "sifting", "--json"],
+    "replay": _replay_argv,
+    "explain": lambda tmp_path: ["explain", str(_CORPUS_CASE), "--json"],
+    "growth": _growth_argv,
+    "bench": lambda tmp_path: ["bench", "--quick", "--suite", "consensus",
+                               "--label", "t", "--seed", "3",
+                               "--out", str(tmp_path / "BENCH_t.json"),
+                               "--json"],
+    "bench-compare": _bench_compare_argv,
+    "bench-trend": _bench_trend_argv,
+    "loadtest": _loadtest_argv,
+    "slo-trend": _slo_trend_argv,
+}
+
+
+class TestJsonStdout:
+    """With ``--json``, stdout is exactly one canonical JSON document and
+    every status line goes to stderr, so the output pipes into a JSON
+    reader and ``cmp``s against the file ``--out`` writes."""
+
+    @pytest.mark.parametrize("argv_for", JSON_COMMANDS.values(),
+                             ids=JSON_COMMANDS)
+    def test_stdout_is_exactly_one_document(self, argv_for, tmp_path,
+                                            capsys):
+        argv = argv_for(tmp_path)
+        capsys.readouterr()
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == dumps(json.loads(out))

@@ -275,7 +275,6 @@ def explanation():
         disagreement=DisagreementReport.from_json(disagreement()),
         attribution=AttributionReport.from_json(attribution()),
         note="rt",
-        trace_counters={"retained": 1},
     ).to_json()
 
 

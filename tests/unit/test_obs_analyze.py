@@ -43,7 +43,7 @@ def _annotated_sifting_trace(n=4, seed=5):
     conciliator = SiftingConciliator(n)
     seeds = SeedTree(seed)
     schedule = make_schedule("random", n, seeds.child("schedule"))
-    recorder = TraceRecorder(include_values=True)
+    recorder = TraceRecorder()
     run_conciliator(
         conciliator, list(range(n)), schedule, seeds, hooks=[recorder]
     )

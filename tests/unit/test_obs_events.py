@@ -37,10 +37,10 @@ def _spin(ops):
     return program
 
 
-def _run_traced(n=3, ops=4, hooks=(), **kwargs):
+def _run_traced(n=3, ops=4, hooks=()):
     seeds = SeedTree(11)
     schedule = make_schedule("random", n, seeds.child("schedule"))
-    recorder = TraceRecorder(**kwargs)
+    recorder = TraceRecorder()
     run_programs(
         [_spin(ops)] * n, schedule, seeds,
         hooks=[recorder, *hooks], allow_partial=bool(hooks),
@@ -173,7 +173,13 @@ class TestTraceRecorder:
         kinds = [event.kind for event in recorder.events]
         assert kinds[0] == "run-start"
         assert kinds[-1] == "run-end"
-        assert len(recorder.events_of_kind("finish")) == 3
+        assert sorted(e.pid for e in recorder.events_of_kind("finish")) \
+            == [0, 1, 2]
+        # Every charged step is recorded, in step order.
+        steps = [e.step for e in recorder.events
+                 if e.kind in ("register-write", "register-read")]
+        total = recorder.events_of_kind("run-end")[0].payload["total_steps"]
+        assert steps == list(range(total)) and total == 3 * 4 * 2
         # The spin program writes and reads registers only.
         assert recorder.events_of_kind("register-write")
         assert recorder.events_of_kind("register-read")
@@ -185,72 +191,29 @@ class TestTraceRecorder:
         assert write.step is not None
         assert write.payload["obj"].startswith("spin[")
         assert write.payload["op"] == "write"
-
-    def test_include_values_false_strips_payload_values(self):
-        recorder = _run_traced(n=2, ops=2, include_values=False)
+        assert write.payload["value"] == 0
         for event in recorder.events_of_kind("register-read"):
-            assert "result" not in event.payload
+            assert "result" in event.payload
         for event in recorder.events_of_kind("finish"):
-            assert "output" not in event.payload
-
-    def test_ring_buffer_keeps_most_recent(self):
-        recorder = _run_traced(n=3, ops=6, capacity=5)
-        assert len(recorder) == 5
-        assert recorder.recorded_total > 5
-        # The tail of the run survives eviction.
-        assert recorder.events[-1].kind == "run-end"
-
-    def test_ring_dropped_counts_evictions_exactly(self):
-        recorder = _run_traced(n=3, ops=6, capacity=5)
-        assert recorder.ring_dropped == recorder.recorded_total - 5
-        assert recorder.ring_dropped > 0
+            assert event.payload["output"] == event.pid
 
     def test_unbounded_recorder_never_ring_drops(self):
+        # Events are never evicted: the recorder holds one event per
+        # charged step plus the run's lifecycle events.
         recorder = _run_traced(n=3, ops=6)
-        assert recorder.ring_dropped == 0
-        assert recorder.recorded_total == len(recorder)
-
-    def test_ring_dropped_is_distinct_from_pid_filter_drops(self):
-        # The pid filter drops events *before* recording; the ring drops
-        # them *after*.  An unbounded pid-sampled recorder must count
-        # only the former.
-        recorder = _run_traced(n=6, ops=3, pid_sample_every=3)
-        assert recorder.pid_events_dropped > 0
-        assert recorder.ring_dropped == 0
-
-    def test_metadata_reports_all_retention_counters(self):
-        recorder = _run_traced(n=3, ops=6, capacity=5)
-        metadata = recorder.metadata()
-        assert metadata == {
-            "recorded_total": recorder.recorded_total,
-            "retained": 5,
-            "steps_observed": recorder.steps_observed,
-            "ring_dropped": recorder.ring_dropped,
-            "pid_events_dropped": 0,
-        }
-        assert metadata["recorded_total"] - metadata["ring_dropped"] \
-            == metadata["retained"]
-
-    def test_sampling_thins_step_events_only(self):
-        full = _run_traced(n=3, ops=6)
-        sampled = _run_traced(n=3, ops=6, sample_every=4)
-        full_steps = sum(
-            1 for e in full.events if e.kind.startswith(("register", "step"))
+        total = recorder.events_of_kind("run-end")[0].payload["total_steps"]
+        lifecycle = ("run-start", "finish", "run-end")
+        assert len(recorder) == total + sum(
+            len(recorder.events_of_kind(kind)) for kind in lifecycle
         )
-        sampled_steps = sum(
-            1 for e in sampled.events if e.kind.startswith(("register", "step"))
-        )
-        assert 0 < sampled_steps < full_steps
-        # Lifecycle events are exempt from sampling.
-        assert len(sampled.events_of_kind("finish")) == 3
-        assert sampled.events_of_kind("run-start")
-        assert sampled.events_of_kind("run-end")
+        assert len(recorder) == 3 * 6 * 2 + 1 + 3 + 1
 
     def test_rejects_bad_configuration(self):
-        with pytest.raises(ConfigurationError):
-            TraceRecorder(capacity=0)
-        with pytest.raises(ConfigurationError):
-            TraceRecorder(sample_every=0)
+        # The recorder takes no options: every run is traced whole.
+        for knob in ("capacity", "sample_every", "pid_sample_every",
+                     "pid_reservoir", "include_values"):
+            with pytest.raises(TypeError):
+                TraceRecorder(**{knob: 1})
 
     def test_crash_fault_emits_crash_event(self):
         plan = FaultPlan(crashes=(CrashFault(pid=1, after_steps=2),))
@@ -296,66 +259,12 @@ class TestAnnotateConciliator:
 
 
 class TestPidSampling:
-    """The million-process mode: strided / reservoir pid filters."""
-
-    def test_stride_keeps_only_multiple_pids(self):
-        recorder = _run_traced(n=6, ops=3, pid_sample_every=3)
-        step_kinds = ("register-write", "register-read", "step")
-        for event in recorder.events:
-            if event.kind in step_kinds or event.kind == "finish":
-                assert event.pid % 3 == 0
-        finishes = recorder.events_of_kind("finish")
-        assert sorted(e.pid for e in finishes) == [0, 3]
-        assert recorder.pid_events_dropped > 0
+    """Every pid's events are recorded: the recorder filters no pid."""
 
     def test_stride_of_one_drops_nothing(self):
         recorder = _run_traced(n=4, ops=2)
-        assert recorder.pid_events_dropped == 0
         assert len(recorder.events_of_kind("finish")) == 4
-
-    def test_reservoir_is_seeded_and_bounded(self):
-        first = _run_traced(n=8, ops=3, pid_reservoir=3, reservoir_seed=5)
-        second = _run_traced(n=8, ops=3, pid_reservoir=3, reservoir_seed=5)
-        assert first.sampled_pids == second.sampled_pids
-        assert len(first.sampled_pids) == 3
-        for event in first.events:
-            if event.pid is not None:
-                assert event.pid in first.sampled_pids
-        other = _run_traced(n=8, ops=3, pid_reservoir=3, reservoir_seed=6)
-        assert other.sampled_pids != first.sampled_pids
-
-    def test_reservoir_larger_than_n_keeps_everything(self):
-        recorder = _run_traced(n=4, ops=2, pid_reservoir=100)
-        assert recorder.sampled_pids == frozenset(range(4))
-        assert recorder.pid_events_dropped == 0
-
-    def test_run_boundaries_always_recorded(self):
-        recorder = _run_traced(n=6, ops=3, pid_sample_every=1000)
-        assert recorder.events[0].kind == "run-start"
-        assert recorder.events[-1].kind == "run-end"
-
-    def test_pid_filter_composes_with_step_sampling_stride(self):
-        # The global step stride counts *observed* steps, not retained
-        # ones, so adding a pid filter must not shift which steps the
-        # stride selects for the surviving pids.
-        dense = _run_traced(n=4, ops=6, sample_every=3)
-        filtered = _run_traced(
-            n=4, ops=6, sample_every=3, pid_sample_every=2
-        )
         step_kinds = ("register-write", "register-read")
-        dense_steps = [
-            (e.pid, e.step) for e in dense.events
-            if e.kind in step_kinds and e.pid % 2 == 0
-        ]
-        filtered_steps = [
-            (e.pid, e.step) for e in filtered.events if e.kind in step_kinds
-        ]
-        assert filtered_steps == dense_steps
-
-    def test_rejects_conflicting_and_invalid_filters(self):
-        with pytest.raises(ConfigurationError, match="mutually"):
-            TraceRecorder(pid_sample_every=2, pid_reservoir=3)
-        with pytest.raises(ConfigurationError):
-            TraceRecorder(pid_sample_every=0)
-        with pytest.raises(ConfigurationError):
-            TraceRecorder(pid_reservoir=0)
+        for pid in range(4):
+            assert sum(1 for e in recorder.events
+                       if e.kind in step_kinds and e.pid == pid) == 2 * 2

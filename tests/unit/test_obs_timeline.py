@@ -78,7 +78,7 @@ class TestAsciiTimeline:
         conciliator = SiftingConciliator(n)
         seeds = SeedTree(9)
         schedule = make_schedule("random", n, seeds.child("schedule"))
-        recorder = TraceRecorder(include_values=True)
+        recorder = TraceRecorder()
         run_conciliator(
             conciliator, list(range(n)), schedule, seeds, hooks=[recorder]
         )
