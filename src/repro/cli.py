@@ -977,7 +977,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     cases = load_corpus(Path(args.corpus))
     if not cases:
-        print(f"no corpus cases under {args.corpus}")
+        if args.json:
+            print(dumps([]), end="")
+            print(f"no corpus cases under {args.corpus}", file=sys.stderr)
+        else:
+            print(f"no corpus cases under {args.corpus}")
         return 0
     reports = []
     explanations = {}

@@ -18,11 +18,14 @@ Implementations expose two layers:
 Conciliators also record, for experiment E1/E3, the persona each process
 holds after each round (*local* bookkeeping — no shared-memory operations,
 hence free in the step measure and invisible to the protocol itself).
+Each process appends its rounds, in order, to a list of its own; the
+per-round views (:attr:`Conciliator._after_round`, the survivor counts)
+are derived from those lists when they are read.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Set
 
 from repro.core.persona import Persona
 from repro.runtime.operations import Operation
@@ -44,10 +47,10 @@ class Conciliator:
     def __init__(self, n: int, name: str):
         self.n = n
         self.name = name
-        # _after_round[i][pid] = persona held by pid after finishing round i.
-        self._after_round: Dict[int, Dict[int, Persona]] = {}
         # _initial[pid] = the persona pid generated before round 1.
         self._initial: Dict[int, Persona] = {}
+        # _held[pid][i] = persona held by pid after finishing round i.
+        self._held: Dict[int, List[Persona]] = {}
 
     def persona_program(
         self, ctx: ProcessContext, input_value: Any
@@ -64,19 +67,34 @@ class Conciliator:
 
     # ----- instrumentation -------------------------------------------------
 
-    def _record_round(self, round_index: int, pid: int, persona: Persona) -> None:
-        self._after_round.setdefault(round_index, {})[pid] = persona
+    def _record_initial(
+        self, pid: int, persona: Persona
+    ) -> Callable[[Persona], None]:
+        """Record the persona ``pid`` generated before round 1.
 
-    def _record_initial(self, pid: int, persona: Persona) -> None:
+        Returns the bound ``append`` that records, one call per round and
+        in round order, the persona ``pid`` holds after finishing it.
+        """
         self._initial[pid] = persona
+        held: List[Persona] = []
+        self._held[pid] = held
+        return held.append
+
+    @property
+    def _after_round(self) -> Dict[int, Dict[int, Persona]]:
+        """``_after_round[i][pid]``: the persona ``pid`` held after
+        finishing round ``i``, rounds in order."""
+        after: Dict[int, Dict[int, Persona]] = {}
+        for pid, held in self._held.items():
+            for round_index, persona in enumerate(held):
+                after.setdefault(round_index, {})[pid] = persona
+        return after
 
     def personae_entering_round(self, round_index: int) -> List[Persona]:
         """Distinct personae held at the start of ``round_index`` (0-based)."""
         if round_index == 0:
-            personae = self._initial.values()
-        else:
-            personae = self._after_round.get(round_index - 1, {}).values()
-        return list(set(personae))
+            return list(set(self._initial.values()))
+        return list(self._held_after(round_index - 1))
 
     def survivors_after_round(self, round_index: int) -> int:
         """Distinct personae held by processes after ``round_index``.
@@ -84,15 +102,19 @@ class Conciliator:
         This is the random variable ``Y_i`` of Lemmas 1 and 2, measured at
         each process's own round boundary.
         """
-        personae = self._after_round.get(round_index, {})
-        return len(set(personae.values()))
+        return len(self._held_after(round_index))
 
     def survivor_series(self) -> List[int]:
         """``Y_i`` for every recorded round, in round order."""
-        return [
-            self.survivors_after_round(index)
-            for index in sorted(self._after_round)
-        ]
+        rounds = max(map(len, self._held.values()), default=0)
+        return [self.survivors_after_round(index) for index in range(rounds)]
+
+    def _held_after(self, round_index: int) -> Set[Persona]:
+        """The distinct personae held after ``round_index``."""
+        return {
+            held[round_index] for held in self._held.values()
+            if 0 <= round_index < len(held)
+        }
 
 
 def run_conciliator(

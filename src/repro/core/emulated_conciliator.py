@@ -15,7 +15,12 @@ from __future__ import annotations
 from typing import Any, Generator, List, Optional
 
 from repro.core.conciliator import Conciliator
-from repro.core.persona import Persona, check_priority_range, highest_priority
+from repro.core.persona import (
+    Persona,
+    _snapshot_persona,
+    check_priority_range,
+    highest_priority,
+)
 from repro.core.rounds import snapshot_priority_range, snapshot_rounds
 from repro.errors import ConfigurationError
 from repro.memory.emulated_snapshot import EmulatedSnapshot
@@ -67,14 +72,14 @@ class EmulatedSnapshotConciliator(Conciliator):
     def persona_program(
         self, ctx: ProcessContext, input_value: Any
     ) -> Generator[Operation, Any, Persona]:
-        persona = Persona.for_snapshot(
+        persona = _snapshot_persona(
             input_value, ctx.pid, ctx.rng, self.rounds, self.priority_range
         )
-        self._record_initial(ctx.pid, persona)
+        record_round = self._record_initial(ctx.pid, persona)
         for round_index in range(self.rounds):
             array = self.arrays[round_index]
             yield from array.update_program(ctx, persona)
             view = yield from array.scan_program(ctx)
             persona = highest_priority(view, round_index)
-            self._record_round(round_index, ctx.pid, persona)
+            record_round(persona)
         return persona

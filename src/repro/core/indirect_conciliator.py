@@ -28,7 +28,12 @@ from __future__ import annotations
 from typing import Any, Generator, List, Optional
 
 from repro.core.conciliator import Conciliator
-from repro.core.persona import Persona, check_priority_range, highest_priority
+from repro.core.persona import (
+    Persona,
+    _snapshot_persona,
+    check_priority_range,
+    highest_priority,
+)
 from repro.core.rounds import snapshot_priority_range, snapshot_rounds
 from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.memory.register import AtomicRegister
@@ -74,7 +79,7 @@ class IndirectSnapshotConciliator(Conciliator):
     def persona_program(
         self, ctx: ProcessContext, input_value: Any
     ) -> Generator[Operation, Any, Persona]:
-        full = Persona.for_snapshot(
+        full = _snapshot_persona(
             input_value, ctx.pid, ctx.rng, self.rounds, self.priority_range
         )
         # Publish the value once; everything after carries only the token.
@@ -85,13 +90,13 @@ class IndirectSnapshotConciliator(Conciliator):
             priorities=full.priorities,
             coin=full.coin,
         )
-        self._record_initial(ctx.pid, token)
+        record_round = self._record_initial(ctx.pid, token)
         for round_index in range(self.rounds):
             array = self._arrays[round_index]
             yield Update(array, token)
             view = yield Scan(array)
             token = highest_priority(view, round_index)
-            self._record_round(round_index, ctx.pid, token)
+            record_round(token)
         value = yield Read(self.announce[token.origin])
         if value is None:
             # Unreachable by the precedence argument in the module

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -32,9 +32,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Persona:
     """An input value plus all randomness it will ever use.
+
+    Slotted: a trial builds one per process, and the factories below set
+    the slots directly once their arguments are checked.
 
     Attributes:
         value: the input value being proposed.  Must be hashable.
@@ -73,19 +76,7 @@ class Persona:
         if rounds < 1:
             raise ConfigurationError(f"snapshot persona needs rounds >= 1, got {rounds}")
         check_priority_range(priority_range)
-        # ``rng.randint(1, priority_range)``'s own rejection loop, inlined:
-        # draw ``priority_range.bit_length()`` bits until the value is below
-        # the range.  The stream is bit-identical to ``randint`` (a unit
-        # test pins it).
-        getrandbits = rng.getrandbits
-        bits = operator.index(priority_range).bit_length()
-        priorities = []
-        for _ in range(rounds):
-            draw = getrandbits(bits)
-            while draw >= priority_range:
-                draw = getrandbits(bits)
-            priorities.append(draw + 1)
-        return Persona(value, origin, tuple(priorities), (), _draw_coin(rng))
+        return _snapshot_persona(value, origin, rng, rounds, priority_range)
 
     @staticmethod
     def for_sifting(
@@ -103,9 +94,7 @@ class Persona:
         if not write_probabilities:
             raise ConfigurationError("sifting persona needs at least one round")
         check_write_probabilities(write_probabilities)
-        draw = rng.random
-        bits = tuple([draw() < p for p in write_probabilities])
-        return Persona(value, origin, (), bits, _draw_coin(rng))
+        return _sifting_persona(value, origin, rng, write_probabilities)
 
     def priority(self, round_index: int) -> int:
         """This persona's priority in round ``round_index`` (0-based)."""
@@ -117,6 +106,59 @@ class Persona:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Persona(value={self.value!r}, origin={self.origin})"
+
+
+_set_value, _set_origin, _set_priorities, _set_write_bits, _set_coin = (
+    getattr(Persona, field.name).__set__ for field in fields(Persona)
+)
+
+
+def _assembled(
+    value: Any, origin: int, priorities: Tuple[int, ...],
+    write_bits: Tuple[bool, ...], coin: int,
+) -> Persona:
+    """A persona whose fields are already known valid, its slots set
+    through their descriptors instead of the frozen ``__init__`` (one
+    ``object.__setattr__`` per field) and its coin check."""
+    persona = object.__new__(Persona)
+    _set_value(persona, value)
+    _set_origin(persona, origin)
+    _set_priorities(persona, priorities)
+    _set_write_bits(persona, write_bits)
+    _set_coin(persona, coin)
+    return persona
+
+
+def _snapshot_persona(
+    value: Any, origin: int, rng: random.Random, rounds: int,
+    priority_range: int,
+) -> Persona:
+    """:meth:`Persona.for_snapshot` for a conciliator that checked
+    ``rounds`` and ``priority_range`` when it was built."""
+    # ``rng.randint(1, priority_range)``'s own rejection loop, inlined:
+    # draw ``priority_range.bit_length()`` bits until the value is below
+    # the range.  The stream is bit-identical to ``randint`` (a unit test
+    # pins it).
+    getrandbits = rng.getrandbits
+    bits = operator.index(priority_range).bit_length()
+    priorities = []
+    for _ in range(rounds):
+        draw = getrandbits(bits)
+        while draw >= priority_range:
+            draw = getrandbits(bits)
+        priorities.append(draw + 1)
+    return _assembled(value, origin, tuple(priorities), (), _draw_coin(rng))
+
+
+def _sifting_persona(
+    value: Any, origin: int, rng: random.Random,
+    write_probabilities: Sequence[float],
+) -> Persona:
+    """:meth:`Persona.for_sifting` for a conciliator that checked its
+    write probabilities when it was built."""
+    draw = rng.random
+    bits = tuple([draw() < p for p in write_probabilities])
+    return _assembled(value, origin, (), bits, _draw_coin(rng))
 
 
 def check_priority_range(priority_range: int) -> None:

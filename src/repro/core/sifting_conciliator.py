@@ -22,7 +22,11 @@ import functools
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.conciliator import Conciliator
-from repro.core.persona import Persona, check_write_probabilities
+from repro.core.persona import (
+    Persona,
+    _sifting_persona,
+    check_write_probabilities,
+)
 from repro.core.probabilities import sift_p_schedule
 from repro.core.rounds import sifting_rounds
 from repro.errors import ConfigurationError
@@ -94,17 +98,19 @@ class SiftingConciliator(Conciliator):
         return self.rounds
 
     def make_persona(self, ctx: ProcessContext, input_value: Any) -> Persona:
-        """Draw the persona (chooseWrite bits + combine coin)."""
+        """Draw the persona (chooseWrite bits + combine coin).
+
+        The write probabilities were checked when the conciliator was
+        built, so the persona is not checked again.
+        """
         origin = -1 if self.anonymous else ctx.pid
-        return Persona.for_sifting(input_value, origin, ctx.rng, self.p_schedule)
+        return _sifting_persona(input_value, origin, ctx.rng, self.p_schedule)
 
     def persona_program(
         self, ctx: ProcessContext, input_value: Any
     ) -> Generator[Operation, Any, Persona]:
         persona = self.make_persona(ctx, input_value)
-        pid = ctx.pid
-        self._record_initial(pid, persona)
-        record_round = self._record_round
+        record_round = self._record_initial(ctx.pid, persona)
         # Every process reads round i's register with the same (frozen)
         # request, built when round i is first reached.
         registers = self.registers
@@ -119,5 +125,5 @@ class SiftingConciliator(Conciliator):
                 seen = yield read
                 if seen is not None:
                     persona = seen
-            record_round(round_index, pid, persona)
+            record_round(persona)
         return persona

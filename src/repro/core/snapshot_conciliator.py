@@ -22,7 +22,12 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.core.conciliator import Conciliator
-from repro.core.persona import Persona, check_priority_range, highest_priority
+from repro.core.persona import (
+    Persona,
+    _snapshot_persona,
+    check_priority_range,
+    highest_priority,
+)
 from repro.core.rounds import snapshot_priority_range, snapshot_rounds
 from repro.errors import ConfigurationError
 from repro.memory.max_register import MaxRegister
@@ -84,8 +89,12 @@ class SnapshotConciliator(Conciliator):
         return 2 * self.rounds
 
     def make_persona(self, ctx: ProcessContext, input_value: Any) -> Persona:
-        """Draw the persona (priority vector + combine coin) for a process."""
-        return Persona.for_snapshot(
+        """Draw the persona (priority vector + combine coin) for a process.
+
+        ``rounds`` and ``priority_range`` were checked when the conciliator
+        was built, so the persona is not checked again.
+        """
+        return _snapshot_persona(
             input_value, ctx.pid, ctx.rng, self.rounds, self.priority_range
         )
 
@@ -107,13 +116,11 @@ class SnapshotConciliator(Conciliator):
         self, ctx: ProcessContext, input_value: Any
     ) -> Generator[Operation, Any, Persona]:
         persona = self.make_persona(ctx, input_value)
-        pid = ctx.pid
-        self._record_initial(pid, persona)
-        record_round = self._record_round
+        record_round = self._record_initial(ctx.pid, persona)
         if self.use_max_registers:
             for round_index in range(self.rounds):
                 persona = yield from self._max_register_round(round_index, persona)
-                record_round(round_index, pid, persona)
+                record_round(persona)
             return persona
         # One round: update my component, scan, adopt the view's
         # highest-priority persona.  Every process scans round i with the
@@ -128,7 +135,7 @@ class SnapshotConciliator(Conciliator):
             yield Update(scan.obj, persona)
             view = yield scan
             persona = highest_priority(view, round_index)
-            record_round(round_index, pid, persona)
+            record_round(persona)
         return persona
 
     def _max_register_round(

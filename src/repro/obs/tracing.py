@@ -185,8 +185,9 @@ class TraceRecorder(StepHook):
         for pid in sorted(target._initial):
             self._emit_adoption(0, pid, target._initial[pid], protocol)
             appended += 1
-        for round_index in sorted(target._after_round):
-            holders = target._after_round[round_index]
+        after_round = target._after_round
+        for round_index in sorted(after_round):
+            holders = after_round[round_index]
             survivors = target.survivors_after_round(round_index)
             self._events.append(TraceEventRecord(
                 kind="round-transition",

@@ -17,17 +17,54 @@ Operations are small frozen, slotted dataclasses rather than direct method
 calls so that (a) the simulator is the only code that can mutate shared
 objects, which makes atomicity a structural property instead of a
 convention, and (b) every step can be traced and counted uniformly.
+A protocol builds one on most of its steps, so each class's ``__init__``
+sets the slots through their descriptors (:func:`_direct_init`) instead of
+the frozen dataclass's one ``object.__setattr__`` call per field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, ClassVar
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Any, ClassVar, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.memory.base import SharedObject
 
 __all__ = ["Operation", "Read", "Write", "Update", "Scan", "MaxRead", "MaxWrite"]
+
+_Op = TypeVar("_Op", bound=type)
+
+
+def _direct_init(cls: _Op) -> _Op:
+    """Give an operation class an ``__init__`` with the dataclass's
+    parameters and defaults that sets each slot through its descriptor.
+
+    Assignment after construction still raises ``FrozenInstanceError``;
+    only construction skips ``object.__setattr__``.
+    """
+    target: Any = cls
+    names = [field.name for field in fields(target)]
+    set_obj = target.obj.__set__
+    init: Any
+    if names == ["obj"]:
+        def init_obj(self: Any, obj: Any) -> None:
+            set_obj(self, obj)
+
+        init = init_obj
+    elif names == ["obj", "value"]:
+        set_value = target.value.__set__
+
+        def init_obj_value(self: Any, obj: Any, value: Any = None) -> None:
+            set_obj(self, obj)
+            set_value(self, value)
+
+        init = init_obj_value
+    else:  # pragma: no cover - every operation has one of the two shapes
+        raise TypeError(f"{target.__name__} has fields {names}")
+    init.__name__ = "__init__"
+    init.__qualname__ = f"{target.__qualname__}.__init__"
+    target.__init__ = init
+    return cls
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,11 +88,13 @@ class Operation:
         cls.kind = cls.__name__.lower()
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class Read(Operation):
     """Read an atomic register; result is its current value."""
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class Write(Operation):
     """Write ``value`` to an atomic register; result is ``None``."""
@@ -63,6 +102,7 @@ class Write(Operation):
     value: Any = None
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class Update(Operation):
     """Update the invoking process's component of a snapshot object."""
@@ -70,6 +110,7 @@ class Update(Operation):
     value: Any = None
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class Scan(Operation):
     """Atomically read all components of a snapshot object.
@@ -80,11 +121,13 @@ class Scan(Operation):
     """
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class MaxRead(Operation):
     """Read the largest value ever written to a max register (footnote 1)."""
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class MaxWrite(Operation):
     """Write ``value`` to a max register; retained only if it is the max."""

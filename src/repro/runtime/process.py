@@ -12,7 +12,7 @@ which charges only shared-memory operations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, NoReturn, Optional
 
 from repro.errors import SimulationError
@@ -37,15 +37,12 @@ class ProcessContext:
             ``"algorithm"`` branch of the run's seed tree, so it is
             independent of the adversary's schedule by construction.
         input_value: the process's input (``None`` for input-free protocols).
-        annotations: scratch dict for experiment instrumentation; protocols
-            must not read it to make decisions (it is not part of the model).
     """
 
     pid: int
     n: int
     rng: random.Random
     input_value: Any = None
-    annotations: dict = field(default_factory=dict)
 
 
 class Process:

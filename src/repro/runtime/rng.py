@@ -27,9 +27,9 @@ __all__ = ["SeedTree", "derive_seed"]
 
 _SEED_BYTES = 8
 
-#: ``(key, hasher)`` for the last prefix :func:`derive_seed` hashed; the
-#: hasher itself is never updated, only copied.
-_prefix: Tuple[Tuple[str, ...], Any] = ((), None)
+#: ``(master, labels, hasher)`` for the last prefix :func:`derive_seed`
+#: hashed; the hasher itself is never updated, only copied.
+_prefix: Tuple[Any, Tuple[str, ...], Any] = (object(), (), None)
 
 
 def derive_seed(master: int, *labels: str) -> int:
@@ -42,23 +42,23 @@ def derive_seed(master: int, *labels: str) -> int:
     Siblings share every label but the last (``process-0``,
     ``process-1``, ... under one trial's ``algorithm`` branch), so the
     hasher fed with ``master`` and ``labels[:-1]`` is kept in a
-    single-entry cache and copied, not rebuilt.  Key and hasher are
-    stored as one tuple, so a concurrent caller sees a matched pair.
+    single-entry cache and copied, not rebuilt.  The cache keys on the
+    master *object*, which it holds: the same object always has the same
+    decimal text, while equal masters such as ``0.0`` and ``-0.0`` (or
+    ``1`` and ``True``) do not.  Master, labels and hasher are stored as
+    one tuple, so a concurrent caller sees a matched set.
     """
     global _prefix
-    key = (str(master), *labels[:-1])
-    cached_key, cached = _prefix
-    if cached_key != key:
-        cached = hashlib.sha256()
-        cached.update(key[0].encode("ascii"))
-        for label in key[1:]:
-            cached.update(b"\x00")
-            cached.update(label.encode("utf-8"))
-        _prefix = (key, cached)
+    prefix = labels[:-1]
+    cached_master, cached_prefix, cached = _prefix
+    if master is not cached_master or prefix != cached_prefix:
+        cached = hashlib.sha256(str(master).encode("ascii"))
+        for label in prefix:
+            cached.update(b"\x00" + label.encode("utf-8"))
+        _prefix = (master, prefix, cached)
     hasher = cached.copy()
     if labels:
-        hasher.update(b"\x00")
-        hasher.update(labels[-1].encode("utf-8"))
+        hasher.update(b"\x00" + labels[-1].encode("utf-8"))
     return int.from_bytes(hasher.digest()[:_SEED_BYTES], "big")
 
 
@@ -117,3 +117,23 @@ class SeedTree:
 
     def __hash__(self) -> int:
         return hash((self._seed, self._path))
+
+
+def _process_streams(seeds: SeedTree, n: int) -> Iterator[random.Random]:
+    """Yield the private stream of each of ``n`` processes, by pid: the
+    stream of ``seeds.child("algorithm").child(f"process-{pid}")``.
+
+    The one owner of the per-process path.  Every pid's node reuses the
+    checked seed and ``"algorithm"`` path of ``seeds`` instead of running
+    ``SeedTree.__init__`` again; each stream still comes from
+    :meth:`SeedTree.rng`, so its seed is still derived by
+    :func:`derive_seed`.
+    """
+    seed = seeds._seed
+    path = seeds._path + ("algorithm",)
+    new = SeedTree.__new__
+    for pid in range(n):
+        node = new(SeedTree)
+        node._seed = seed
+        node._path = (*path, f"process-{pid}")
+        yield node.rng()

@@ -44,7 +44,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.process import Process, ProcessContext, Program
 from repro.runtime.results import RunResult
-from repro.runtime.rng import SeedTree
+from repro.runtime.rng import SeedTree, _process_streams
 from repro.runtime.scheduler import Schedule
 from repro.runtime.trace import TraceEvent, TraceRecorder
 
@@ -100,8 +100,9 @@ class Simulator:
         skip_guard: Optional[int] = None,
         metrics: Optional[Any] = None,
     ):
-        pids = sorted(process.pid for process in processes)
-        if pids != list(range(len(processes))):
+        by_pid = {process.context.pid: process for process in processes}
+        if sorted(by_pid) != list(range(len(processes))):
+            pids = sorted(process.pid for process in processes)
             raise SimulationError(f"process pids must be 0..n-1, got {pids}")
         if schedule.n < len(processes):
             raise SimulationError(
@@ -110,7 +111,7 @@ class Simulator:
             )
         if skip_guard is not None and skip_guard < 1:
             raise SimulationError(f"skip_guard must be >= 1, got {skip_guard}")
-        self.processes: Dict[int, Process] = {p.pid: p for p in processes}
+        self.processes: Dict[int, Process] = by_pid
         self.n = len(processes)
         self.schedule = schedule
         self.step_limit = step_limit
@@ -124,7 +125,7 @@ class Simulator:
             self.hooks.append(MetricsHook(metrics))
         self.skip_guard = skip_guard
         self.trace: Optional[TraceRecorder] = TraceRecorder() if record_trace else None
-        self._steps_by_pid: Dict[int, int] = {pid: 0 for pid in self.processes}
+        self._steps_by_pid: Dict[int, int] = dict.fromkeys(by_pid, 0)
         # The processes still to finish, keyed by pid: finished and crashed
         # processes leave it, so one lookup tells the loop a slot is free.
         self._unfinished: Dict[int, Process] = dict(self.processes)
@@ -368,15 +369,13 @@ def _build_processes(
         raise SimulationError(
             f"got {len(inputs)} inputs for {n} programs; they must match"
         )
-    child = seeds.child("algorithm").child
     if inputs is None:
         inputs = [None] * n
     return [
-        Process(
-            ProcessContext(pid, n, child(f"process-{pid}").rng(), inputs[pid]),
-            program,
+        Process(ProcessContext(pid, n, rng, inputs[pid]), program)
+        for pid, (program, rng) in enumerate(
+            zip(programs, _process_streams(seeds, n))
         )
-        for pid, program in enumerate(programs)
     ]
 
 

@@ -73,7 +73,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 from repro.errors import ConfigurationError
 from repro.runtime.parallel import run_indexed_trials
-from repro.runtime.rng import SeedTree
+from repro.runtime.rng import SeedTree, _process_streams
 from repro.workloads.schedules import make_schedule
 
 __all__ = [
@@ -499,18 +499,16 @@ def _oracle_coins(np: Any, plan: _Plan, trial_seeds: SeedTree) -> Any:
     depend only on the consumed prefix).
     """
     n = plan.n
-    algorithm_seeds = trial_seeds.child("algorithm")
+    streams = _process_streams(trial_seeds, n)
     if plan.algorithm == "sifting":
         bits = np.empty((plan.rounds, n), dtype=bool)
-        for pid in range(n):
-            rng = algorithm_seeds.child(f"process-{pid}").rng()
+        for pid, rng in enumerate(streams):
             bits[:, pid] = [rng.random() < p for p in plan.p_schedule]
             rng.randrange(2)  # the combine coin, unused by the decision
         return bits
     if plan.algorithm == "snapshot":
         prio = np.empty((plan.rounds, n), dtype=np.int64)
-        for pid in range(n):
-            rng = algorithm_seeds.child(f"process-{pid}").rng()
+        for pid, rng in enumerate(streams):
             prio[:, pid] = [
                 rng.randint(1, plan.priority_range)
                 for _ in range(plan.rounds)
@@ -518,8 +516,7 @@ def _oracle_coins(np: Any, plan: _Plan, trial_seeds: SeedTree) -> Any:
             rng.randrange(2)
         return prio
     uniforms = np.empty((n, plan.max_iterations))
-    for pid in range(n):
-        rng = algorithm_seeds.child(f"process-{pid}").rng()
+    for pid, rng in enumerate(streams):
         rng.randrange(2)  # persona coin is drawn before the loop
         uniforms[pid] = [rng.random() for _ in range(plan.max_iterations)]
     return uniforms

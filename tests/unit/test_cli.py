@@ -396,6 +396,13 @@ class TestReplayCommand:
         assert code == 0
         assert "no corpus cases" in capsys.readouterr().out
 
+    def test_empty_corpus_json_is_an_empty_list(self, tmp_path, capsys):
+        code = main(["replay", "--corpus", str(tmp_path), "--json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out) == []
+        assert "no corpus cases" in captured.err
+
     def test_replays_written_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         assert main(["fuzz", "--trials", "6", "--seed", "2",
@@ -748,6 +755,12 @@ def _replay_argv(tmp_path):
     return ["replay", "--corpus", str(corpus), "--json"]
 
 
+def _empty_replay_argv(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    return ["replay", "--corpus", str(corpus), "--json"]
+
+
 def _growth_argv(tmp_path):
     pytest.importorskip("numpy")
     return ["growth", "--max-n", "10", "--label", "t",
@@ -790,6 +803,7 @@ JSON_COMMANDS = {
     "fuzz": lambda tmp_path: ["fuzz", "--trials", "4", "--seed", "5",
                               "--stacks", "sifting", "--json"],
     "replay": _replay_argv,
+    "replay-empty": _empty_replay_argv,
     "explain": lambda tmp_path: ["explain", str(_CORPUS_CASE), "--json"],
     "growth": _growth_argv,
     "bench": lambda tmp_path: ["bench", "--quick", "--suite", "consensus",

@@ -86,3 +86,23 @@ class TestValueSemantics:
         assert one != make(kind, value, AtomicRegister("r"))
         other = Scan(register) if kind is not Scan else Read(register)
         assert one != other
+
+    def test_keywords_defaults_and_replace(self, kind, value):
+        register = AtomicRegister("r")
+        operation = make(kind, value, register)
+        if value is None:
+            assert kind(obj=register) == operation
+        else:
+            assert kind(obj=register, value=value) == operation
+            assert kind(register).value is None
+        assert dataclasses.replace(operation) == operation
+        assert repr(operation).startswith(f"{kind.__name__}(obj=")
+
+    def test_constructor_refuses_bad_arguments(self, kind, value):
+        register = AtomicRegister("r")
+        with pytest.raises(TypeError):
+            kind()
+        with pytest.raises(TypeError):
+            kind(register, 1, 2)
+        with pytest.raises(TypeError):
+            kind(register, extra=1)

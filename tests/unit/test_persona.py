@@ -1,11 +1,18 @@
 """Unit tests for personae (pre-flipped randomness bundles)."""
 
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.persona import Persona, highest_priority
+from repro.core.persona import (
+    Persona,
+    _sifting_persona,
+    _snapshot_persona,
+    highest_priority,
+)
 from repro.errors import ConfigurationError
 from repro.memory.snapshot import SparseView
 
@@ -96,6 +103,72 @@ class TestSiftingPersona:
         persona = Persona.for_sifting("v", 0, random.Random(0), [0.8] * 500)
         fraction = sum(persona.write_bits) / 500
         assert 0.7 < fraction < 0.9
+
+
+class TestFactoryConstruction:
+    """The factories set a persona's slots directly instead of running the
+    frozen ``__init__``; what they build must be indistinguishable from a
+    constructor-built persona."""
+
+    def built_pairs(self):
+        snapshot = Persona.for_snapshot("v", 2, random.Random(5), 6, 1000)
+        sifting = Persona.for_sifting("w", 4, random.Random(6), [0.5] * 9)
+        for built in (snapshot, sifting):
+            yield built, Persona(
+                value=built.value, origin=built.origin,
+                priorities=built.priorities, write_bits=built.write_bits,
+                coin=built.coin,
+            )
+
+    def test_equal_hash_and_repr(self):
+        for built, constructed in self.built_pairs():
+            assert built == constructed
+            assert hash(built) == hash(constructed)
+            assert repr(built) == repr(constructed)
+
+    def test_pickle_round_trip(self):
+        for built, constructed in self.built_pairs():
+            restored = pickle.loads(pickle.dumps(built))
+            assert restored == built == constructed
+            assert type(restored) is Persona
+
+    def test_replace_and_astuple(self):
+        for built, constructed in self.built_pairs():
+            assert dataclasses.astuple(built) == dataclasses.astuple(constructed)
+            assert dataclasses.replace(built, value="x") == dataclasses.replace(
+                constructed, value="x"
+            )
+            with pytest.raises(ConfigurationError):
+                dataclasses.replace(built, coin=2)
+
+    def test_fields_stay_frozen(self):
+        for built, _ in self.built_pairs():
+            for field in dataclasses.fields(Persona):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(built, field.name, None)
+
+    def test_slotted(self):
+        persona = Persona.for_sifting("v", 0, random.Random(0), [0.5])
+        assert not hasattr(persona, "__dict__")
+
+    @pytest.mark.parametrize("probabilities", [
+        [float("nan")], [0.5, 1.5], [0.5, float("nan"), 0.5],
+    ])
+    def test_sifting_refuses_nan_and_out_of_range(self, probabilities):
+        with pytest.raises(ConfigurationError):
+            Persona.for_sifting("v", 0, random.Random(0), probabilities)
+
+    def test_conciliator_paths_draw_what_the_public_factories_draw(self):
+        probabilities = [0.9, 0.5, 0.25, 1.0, 0.0]
+        for seed in range(10):
+            public, private = random.Random(seed), random.Random(seed)
+            assert _sifting_persona(
+                "v", 1, private, probabilities
+            ) == Persona.for_sifting("v", 1, public, probabilities)
+            assert _snapshot_persona(
+                "v", 1, private, 7, 10**6
+            ) == Persona.for_snapshot("v", 1, public, 7, 10**6)
+            assert private.random() == public.random()
 
 
 class TestInlinedRandint:

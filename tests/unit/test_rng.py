@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.runtime.rng import SeedTree, derive_seed
+from repro.runtime.rng import SeedTree, _process_streams, derive_seed
 
 
 def uncached_seed(master, *labels):
@@ -65,6 +65,29 @@ class TestDeriveSeed:
         for first, second in ((1, True), (0.0, -0.0), (1, 1.0)):
             assert derive_seed(first, "a", "b") == uncached_seed(first, "a", "b")
             assert derive_seed(second, "a", "b") == uncached_seed(second, "a", "b")
+
+
+class TestProcessStreams:
+    @pytest.mark.parametrize("n", [1, 2, 32, 257])
+    def test_each_pid_gets_its_algorithm_branch_stream(self, n):
+        trial = SeedTree(2012).child("trial-3")
+        streams = list(_process_streams(trial, n))
+        assert len(streams) == n
+        for pid, stream in enumerate(streams):
+            expected = trial.child("algorithm").child(f"process-{pid}").rng()
+            assert [stream.getrandbits(64) for _ in range(3)] == [
+                expected.getrandbits(64) for _ in range(3)
+            ], pid
+
+    def test_root_tree_and_interleaved_derivations(self):
+        # Another derivation between two streams evicts the cached
+        # prefix; the next stream must still be the right one.
+        root = SeedTree(-7)
+        streams = _process_streams(root, 3)
+        for pid, stream in enumerate(streams):
+            derive_seed(99, "other", "branch")
+            expected = root.child("algorithm").child(f"process-{pid}").rng()
+            assert stream.random() == expected.random()
 
 
 class TestSeedTree:
