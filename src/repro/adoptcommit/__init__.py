@@ -22,27 +22,43 @@ Implementations:
   included as the no-snapshot reference point.
 """
 
-from repro.adoptcommit.base import (
-    ADOPT,
-    COMMIT,
-    AdoptCommitObject,
-    AdoptCommitResult,
-)
-from repro.adoptcommit.collect_ac import CollectAdoptCommit
-from repro.adoptcommit.encoders import DomainEncoder, IntEncoder, ValueEncoder
-from repro.adoptcommit.flag_ac import BinaryAdoptCommit, FlagAdoptCommit
-from repro.adoptcommit.snapshot_ac import SnapshotAdoptCommit
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ADOPT",
-    "COMMIT",
-    "AdoptCommitObject",
-    "AdoptCommitResult",
-    "ValueEncoder",
-    "IntEncoder",
-    "DomainEncoder",
-    "FlagAdoptCommit",
-    "BinaryAdoptCommit",
-    "SnapshotAdoptCommit",
-    "CollectAdoptCommit",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.adoptcommit.base": (
+        "ADOPT", "COMMIT", "AdoptCommitObject", "AdoptCommitResult",
+    ),
+    "repro.adoptcommit.collect_ac": ("CollectAdoptCommit",),
+    "repro.adoptcommit.encoders": (
+        "ValueEncoder", "IntEncoder", "DomainEncoder",
+    ),
+    "repro.adoptcommit.flag_ac": ("FlagAdoptCommit", "BinaryAdoptCommit"),
+    "repro.adoptcommit.snapshot_ac": ("SnapshotAdoptCommit",),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.adoptcommit.base import (
+        ADOPT as ADOPT,
+        COMMIT as COMMIT,
+        AdoptCommitObject as AdoptCommitObject,
+        AdoptCommitResult as AdoptCommitResult,
+    )
+    from repro.adoptcommit.collect_ac import (
+        CollectAdoptCommit as CollectAdoptCommit,
+    )
+    from repro.adoptcommit.encoders import (
+        DomainEncoder as DomainEncoder,
+        IntEncoder as IntEncoder,
+        ValueEncoder as ValueEncoder,
+    )
+    from repro.adoptcommit.flag_ac import (
+        BinaryAdoptCommit as BinaryAdoptCommit,
+        FlagAdoptCommit as FlagAdoptCommit,
+    )
+    from repro.adoptcommit.snapshot_ac import (
+        SnapshotAdoptCommit as SnapshotAdoptCommit,
+    )

@@ -31,6 +31,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -44,23 +45,30 @@ from typing import (
 )
 
 from repro.analysis.stats import SampleSummary, summarize, wilson_interval
-from repro.core.conciliator import Conciliator
-from repro.core.consensus import ConsensusProtocol
 from repro.errors import CheckpointError, ConfigurationError
-from repro.memory.semantics import RegisterModel, SemanticsInjector
-from repro.obs.metrics import MetricsHook, MetricsRegistry
-from repro.runtime.adaptive import AdaptiveSpec, run_adaptive_programs
-from repro.runtime.adversary import AdversarySpec
 from repro.runtime.parallel import run_indexed_trials
-from repro.runtime.results import RunResult
 from repro.runtime.rng import SeedTree
 from repro.runtime.simulator import run_programs
-from repro.runtime.vectorized import (
-    BACKENDS,
-    VECTOR_BACKENDS,
-    run_vectorized_sweep,
-)
 from repro.workloads.schedules import PARTIAL_FAMILIES, make_schedule
+
+# The model, adversary, metrics and vectorized layers load only when a
+# sweep asks for them (see ``_sweep``), so a plain generator sweep does
+# not pay for importing them.
+if TYPE_CHECKING:
+    from repro.core.conciliator import Conciliator
+    from repro.core.consensus import ConsensusProtocol
+    from repro.memory.semantics import RegisterModel
+    from repro.obs.metrics import MetricsRegistry
+    from repro.runtime.adaptive import AdaptiveSpec
+    from repro.runtime.adversary import AdversarySpec
+    from repro.runtime.results import RunResult
+
+    #: Either endpoint spec that builds a step-by-step choosing adversary:
+    #: a ladder rung (:class:`AdversarySpec`) or the fully adaptive
+    #: endpoint (:class:`AdaptiveSpec`).  Both are versioned JSON values
+    #: with ``seed`` fields and ``build()`` methods, which is all the
+    #: sweeps need.
+    AdversaryLike = Union[AdversarySpec, AdaptiveSpec]
 
 __all__ = [
     "ConciliatorTrialStats",
@@ -73,12 +81,6 @@ __all__ = [
     "decay_series",
     "trial_seed_tree",
 ]
-
-#: Either endpoint spec that builds a step-by-step choosing adversary: a
-#: ladder rung (:class:`AdversarySpec`) or the fully adaptive endpoint
-#: (:class:`AdaptiveSpec`).  Both are versioned JSON values with ``seed``
-#: fields and ``build()`` methods, which is all the sweeps need.
-AdversaryLike = Union[AdversarySpec, AdaptiveSpec]
 
 
 @dataclass(frozen=True)
@@ -222,12 +224,14 @@ def _resolve_backend(
     and the kernels bake in atomic registers and fixed lockstep schedules.
     All are rejected loudly rather than silently ignored.
     """
+    if backend == "generator":
+        return False
+    from repro.runtime.vectorized import BACKENDS, VECTOR_BACKENDS
+
     if backend not in BACKENDS:
         raise ConfigurationError(
             f"unknown backend {backend!r}; choose from {BACKENDS}"
         )
-    if backend not in VECTOR_BACKENDS:
-        return False
     if allow_partial:
         raise ConfigurationError(
             f"backend {backend!r} runs every process to completion and "
@@ -374,34 +378,11 @@ def _model_run_key_suffix(
     return suffix
 
 
-def _trial_model_hooks(
-    register_model: Optional[RegisterModel],
-    trial_seeds: SeedTree,
-    metrics: Optional[MetricsRegistry],
-) -> List[Any]:
-    """Per-trial step hooks for a declared weak register model."""
-    if register_model is None:
-        return []
-    reseeded = replace(
-        register_model,
-        seed=trial_seeds.child("register-model").rng().randrange(2**32),
-    )
-    if metrics is not None:
-        metrics.counter(
-            "sweep.register_model", kind=register_model.kind
-        ).inc()
-    return [SemanticsInjector(reseeded)]
-
-
-def _trial_adversary(
-    adversary: AdversaryLike, trial_seeds: SeedTree
-) -> Any:
-    """A fresh, per-trial-seeded adversary instance (wrappers are stateful)."""
-    reseeded = replace(
-        adversary,
-        seed=trial_seeds.child("adversary").rng().randrange(2**32),
-    )
-    return reseeded.build()
+def _reseeded(spec: Any, branch: str, trial_seeds: SeedTree) -> Any:
+    """``spec`` with its seed drawn from the trial's ``branch``, so a
+    sweep under a register model or adversary stays a pure function of
+    ``(master_seed, trial)``."""
+    return replace(spec, seed=trial_seeds.child(branch).rng().randrange(2**32))
 
 
 def _sweep(
@@ -450,6 +431,8 @@ def _sweep(
         f"|seed={master_seed}|schedule={schedule_family}"
     )
     if vectorized:
+        from repro.runtime.vectorized import run_vectorized_sweep
+
         sweep = run_vectorized_sweep(
             factory,
             inputs,
@@ -464,6 +447,13 @@ def _sweep(
             collect_survivors=what == "decay",
         )
         return sweep.decay_series() if what == "decay" else sweep.stats()
+    # Each layer a sweep asks for loads here, once, never per trial.
+    if register_model is not None:
+        from repro.memory.semantics import SemanticsInjector
+    if adversary is not None:
+        from repro.runtime.adaptive import run_adaptive_programs
+    if metrics is not None:
+        from repro.obs.metrics import MetricsHook, MetricsRegistry
     if allow_partial is None:
         allow_partial = schedule_family in PARTIAL_FAMILIES
     inputs = list(inputs)
@@ -484,7 +474,14 @@ def _sweep(
         protocol = factory()
         programs = [protocol.program] * protocol.n
         trial_registry = MetricsRegistry() if collect else None
-        hooks = _trial_model_hooks(register_model, trial_seeds, trial_registry)
+        hooks: List[Any] = []
+        if register_model is not None:
+            hooks.append(SemanticsInjector(
+                _reseeded(register_model, "register-model", trial_seeds)))
+            if trial_registry is not None:
+                trial_registry.counter(
+                    "sweep.register_model", kind=register_model.kind
+                ).inc()
         if trial_registry is not None:
             hooks.append(MetricsHook(trial_registry))
         if adversary is None:
@@ -496,8 +493,9 @@ def _sweep(
                 allow_partial=allow_partial, hooks=hooks,
             )
         else:
+            # A fresh adversary per trial: the wrappers are stateful.
             result = run_adaptive_programs(
-                programs, _trial_adversary(adversary, trial_seeds),
+                programs, _reseeded(adversary, "adversary", trial_seeds).build(),
                 trial_seeds, inputs=inputs, hooks=hooks,
             )
         outcome = measure(protocol, result, trial_registry)

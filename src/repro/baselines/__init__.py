@@ -9,7 +9,21 @@ naive one-shot conciliator is the floor that shows why sifting rounds are
 needed at all.
 """
 
-from repro.baselines.doubling_cil import DoublingCILConciliator
-from repro.baselines.naive_conciliator import NaiveConciliator
+from typing import TYPE_CHECKING
 
-__all__ = ["DoublingCILConciliator", "NaiveConciliator"]
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.baselines.doubling_cil": ("DoublingCILConciliator",),
+    "repro.baselines.naive_conciliator": ("NaiveConciliator",),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.baselines.doubling_cil import (
+        DoublingCILConciliator as DoublingCILConciliator,
+    )
+    from repro.baselines.naive_conciliator import (
+        NaiveConciliator as NaiveConciliator,
+    )

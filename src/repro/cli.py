@@ -50,32 +50,16 @@ import argparse
 import math
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import catalog
-from repro.analysis.experiments import decay_series, run_conciliator_trials
-from repro.analysis.tables import render_table
-from repro.core.consensus import (
-    register_consensus,
-    run_consensus,
-    snapshot_consensus,
-)
 from repro.errors import ReproError
-from repro.fuzz.stacks import service_chaos_names
 from repro.jsonio import dumps
-from repro.runtime.adaptive import ADAPTIVE_FAMILIES
-from repro.runtime.parallel import parallelism
 from repro.runtime.rng import SeedTree
 from repro.runtime.simulator import run_programs
-from repro.runtime.vectorized import BACKENDS
-from repro.service.loadgen import PROFILES
-from repro.workloads.inputs import INPUT_WORKLOADS, make_input
-from repro.workloads.schedules import (
-    ALL_SCHEDULE_FAMILIES,
-    PARTIAL_FAMILIES,
-    make_schedule,
-)
-from repro.workloads.search import SEARCH_STRATEGIES
+
+# Everything else a subcommand needs, down to its options' choice lists,
+# is imported inside its argument builder and handler, so running one
+# subcommand (or ``--help``) loads only that subcommand's modules.
 
 __all__ = ["main", "build_parser"]
 
@@ -131,7 +115,7 @@ def _add_model_arguments(
 def _parse_model_arguments(args: argparse.Namespace):
     """The (register_model, adversary) pair an argparse namespace pins."""
     from repro.memory.semantics import RegisterModel
-    from repro.runtime.adaptive import AdaptiveSpec
+    from repro.runtime.adaptive import ADAPTIVE_FAMILIES, AdaptiveSpec
     from repro.runtime.adversary import AdversarySpec
 
     model = None
@@ -164,15 +148,10 @@ def _add_checkpoint_arguments(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Randomized consensus with an oblivious adversary "
-                    "(Aspnes, PODC 2012) — reproduction toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _consensus_arguments(consensus: argparse.ArgumentParser) -> None:
+    from repro.workloads.inputs import INPUT_WORKLOADS
+    from repro.workloads.schedules import ALL_SCHEDULE_FAMILIES
 
-    consensus = sub.add_parser("consensus", help="run one consensus execution")
     consensus.add_argument("--model", choices=["register", "snapshot", "linear"],
                            default="register")
     consensus.add_argument("--n", type=int, default=16)
@@ -182,9 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
                            default="random")
     consensus.add_argument("--seed", type=int, default=2012)
 
-    conciliator = sub.add_parser(
-        "conciliator", help="estimate agreement rate over repeated trials"
-    )
+
+def _conciliator_arguments(conciliator: argparse.ArgumentParser) -> None:
+    from repro import catalog
+    from repro.runtime.adaptive import ADAPTIVE_FAMILIES
+    from repro.runtime.vectorized import BACKENDS
+    from repro.workloads.schedules import ALL_SCHEDULE_FAMILIES
+
     conciliator.add_argument("--algorithm", choices=catalog.names("exposed"),
                              default="sifting")
     conciliator.add_argument("--n", type=int, default=16)
@@ -206,7 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_parallel_arguments(conciliator)
     _add_checkpoint_arguments(conciliator)
 
-    decay = sub.add_parser("decay", help="survivor decay vs the paper bound")
+
+def _decay_arguments(decay: argparse.ArgumentParser) -> None:
+    from repro import catalog
+    from repro.runtime.vectorized import BACKENDS
+    from repro.workloads.schedules import ALL_SCHEDULE_FAMILIES
+
     decay.add_argument("--algorithm", choices=catalog.names("decay_bound"),
                        default="sifting")
     decay.add_argument("--n", type=int, default=64)
@@ -225,9 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_parallel_arguments(decay)
     _add_checkpoint_arguments(decay)
 
-    search = sub.add_parser(
-        "search", help="search for the worst oblivious schedule"
-    )
+
+def _search_arguments(search: argparse.ArgumentParser) -> None:
+    from repro import catalog
+    from repro.workloads.search import SEARCH_STRATEGIES
+
     search.add_argument("--algorithm", choices=catalog.names("decay_bound"),
                         default="sifting")
     search.add_argument("--n", type=int, default=8)
@@ -242,14 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--metrics", action="store_true",
                         help="print the search telemetry counters")
 
-    tas = sub.add_parser("tas", help="test-and-set trials (E14 machinery)")
+
+def _tas_arguments(tas: argparse.ArgumentParser) -> None:
     tas.add_argument("--n", type=int, default=16)
     tas.add_argument("--trials", type=int, default=50)
     tas.add_argument("--seed", type=int, default=2012)
 
-    experiments = sub.add_parser(
-        "experiments", help="regenerate the paper's experiment tables"
-    )
+
+def _experiments_arguments(experiments: argparse.ArgumentParser) -> None:
+    from repro.runtime.adaptive import ADAPTIVE_FAMILIES
+
     experiments.add_argument("--scale", type=float, default=0.25)
     experiments.add_argument("--only", type=str, default="",
                              help="comma-separated ids, e.g. E1,E5")
@@ -262,12 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_parallel_arguments(experiments)
 
-    probe = sub.add_parser(
-        "probe",
-        help="tabulate agreement rate vs adversary-ladder rung "
-             "(oblivious < noisy < late < adaptive) and register model "
-             "(atomic/regular/safe) at fixed (n, trials)",
-    )
+
+def _probe_arguments(probe: argparse.ArgumentParser) -> None:
     probe.add_argument("--n", type=int, default=8)
     probe.add_argument("--trials", type=int, default=400)
     probe.add_argument("--seed", type=int, default=2012)
@@ -292,11 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(e.g. benchmarks/PROBE_ladder.json)")
     _add_parallel_arguments(probe)
 
-    fuzz = sub.add_parser(
-        "fuzz",
-        help="chaos-fuzz random protocol/schedule/fault scenarios under "
-             "the full oracle suite",
-    )
+
+def _fuzz_arguments(fuzz: argparse.ArgumentParser) -> None:
     # Not required=True: --list-stacks works without a sizing mode; the
     # handler enforces exactly-one-of otherwise.
     sizing = fuzz.add_mutually_exclusive_group()
@@ -366,10 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_parallel_arguments(fuzz)
     _add_checkpoint_arguments(fuzz)
 
-    replay = sub.add_parser(
-        "replay", help="re-run the regression corpus and check each case "
-                       "still fires its recorded oracles",
-    )
+
+def _replay_arguments(replay: argparse.ArgumentParser) -> None:
     replay.add_argument("--corpus", type=str, default="tests/corpus",
                         metavar="DIR", help="corpus directory to replay")
     replay.add_argument("--json", action="store_true",
@@ -385,12 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
              "<case>.trace.jsonl artifacts into DIR",
     )
 
-    explain = sub.add_parser(
-        "explain",
-        help="replay one corpus case under a full trace and "
-             "print its persona-lineage, disagreement, and "
-             "step-attribution analysis",
-    )
+
+def _explain_arguments(explain: argparse.ArgumentParser) -> None:
     explain.add_argument("case", help="corpus case file (case-*.json)")
     explain.add_argument("--json", action="store_true",
                          help="print the full explanation as canonical JSON")
@@ -401,11 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the replay's trace events as JSONL to PATH",
     )
 
-    timeline = sub.add_parser(
-        "timeline",
-        help="render a deterministic per-process timeline of a corpus "
-             "case (replayed under a full trace) or a saved trace JSONL",
-    )
+
+def _timeline_arguments(timeline: argparse.ArgumentParser) -> None:
     timeline_source = timeline.add_mutually_exclusive_group(required=True)
     timeline_source.add_argument(
         "--case", type=str, default=None, metavar="FILE",
@@ -422,13 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write a static HTML rendering to PATH",
     )
 
+
+def _bench_arguments(bench: argparse.ArgumentParser) -> None:
     from repro.obs.bench import DEFAULT_THRESHOLD, SUITE_NAMES
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the curated perf suite and emit a machine-readable "
-             "BENCH_<label>.json report",
-    )
     bench.add_argument("--quick", action="store_true",
                        help="CI-sized suite (seconds instead of tens of "
                             "seconds); results are labeled as quick and "
@@ -491,24 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench_trend.add_argument("--json", action="store_true",
                              help="print the trend summary as JSON")
 
+
+def _growth_arguments(growth: argparse.ArgumentParser) -> None:
     from repro.analysis.growth import DEFAULT_MAX_N, QUICK_MAX_N
 
-    growth = sub.add_parser(
-        "growth",
-        help="sweep n over decades to the million-process regime and emit "
-             "the deterministic GROWTH_<label>.json separation curves",
-        description="Run the asymptotic growth-curve experiment: ensemble "
-                    "per-process work for the snapshot/sifting conciliators "
-                    "and the DoublingCIL baseline on the vectorized backend, "
-                    "the baseline's solo-run log-n ladder on the generator "
-                    "backend, and a sparse/streaming shared-state probe at "
-                    "the largest decade.  The report is a pure function of "
-                    "(label, seed, epsilon, max-n) — no wall clock or git "
-                    "SHA — so CI regenerates the committed baseline and "
-                    "compares bytes.",
-        epilog="Exit codes: 0 = curves computed and self-checks passed; "
-               "1 = self-checks failed; 2 = usage or configuration error.",
-    )
     growth.add_argument("--quick", action="store_true",
                         help=f"stop the sweep at n={QUICK_MAX_N:,} (the CI "
                              "scale-smoke size) instead of "
@@ -527,14 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     growth.add_argument("--json", action="store_true",
                         help="print the full report as JSON on stdout")
 
-    serve = sub.add_parser(
-        "serve",
-        help="serve consensus rounds as sessions over JSON-lines TCP",
-        description="Bind the consensus service to a TCP endpoint: one "
-                    "SessionRequest JSON object per line in, one "
-                    "SessionResponse JSON line out.  Runs the same "
-                    "service code as 'loadtest', on the real clock.",
-    )
+
+def _serve_arguments(serve: argparse.ArgumentParser) -> None:
+    from repro.fuzz.stacks import service_chaos_names
+
     serve.add_argument("--host", type=str, default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8737,
                        help="TCP port (0 = pick a free one; default 8737)")
@@ -561,16 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
              "— a long-lived server must bound this, unlike a loadtest",
     )
 
-    loadtest = sub.add_parser(
-        "loadtest",
-        help="replay seeded open-loop traffic and emit an SLO report",
-        description="Drive the consensus service with a deterministic "
-                    "seeded arrival process on a virtual-time event loop. "
-                    "Completes in wall-clock milliseconds regardless of "
-                    "the traffic's virtual duration, and the SLO report "
-                    "is byte-identical for a given seed (modulo the "
-                    "wall_clock section).",
-    )
+
+def _loadtest_arguments(loadtest: argparse.ArgumentParser) -> None:
+    from repro import catalog
+    from repro.fuzz.stacks import service_chaos_names
+    from repro.service.loadgen import PROFILES
+
     loadtest.add_argument(
         "--profile", choices=sorted(PROFILES), default="steady",
         help="arrival shape: steady Poisson, periodic bursts, "
@@ -623,15 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
              "session; `repro slo waterfall` reads this file)",
     )
 
-    slo = sub.add_parser(
-        "slo",
-        help="inspect SLO artifacts: trend ledger, per-session waterfalls",
-        description="Tools over the service layer's SLO artifacts: "
-                    "'trend' summarizes the append-only SLO_history.jsonl "
-                    "ledger (the loadtest --history output), 'waterfall' "
-                    "renders one session's span tree from a loadtest "
-                    "--spans file as an ASCII or HTML waterfall chart.",
-    )
+
+def _slo_arguments(slo: argparse.ArgumentParser) -> None:
     slo_sub = slo.add_subparsers(dest="slo_command", required=True)
     slo_trend = slo_sub.add_parser(
         "trend",
@@ -671,10 +615,37 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", type=str, default=None, metavar="PATH",
         help="write the rendering to PATH instead of stdout",
     )
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser.
+
+    Every subcommand is listed, but with ``command`` only that one gets
+    its arguments, so dispatching a subcommand imports only the modules
+    its own options name; ``None`` builds every subcommand's arguments.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Randomized consensus with an oblivious adversary "
+                    "(Aspnes, PODC 2012) — reproduction toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (options, add_arguments, _) in _COMMANDS.items():
+        subparser = sub.add_parser(name, **options)
+        if command is None or command == name:
+            add_arguments(subparser)
     return parser
 
 
 def _cmd_consensus(args: argparse.Namespace) -> int:
+    from repro.core.consensus import (
+        register_consensus,
+        run_consensus,
+        snapshot_consensus,
+    )
+    from repro.workloads.inputs import make_input
+    from repro.workloads.schedules import PARTIAL_FAMILIES, make_schedule
+
     inputs = make_input(args.workload, args.n, seed=args.seed)
     domain: List = []
     for value in inputs:
@@ -710,6 +681,9 @@ def _cmd_consensus(args: argparse.Namespace) -> int:
 
 
 def _cmd_conciliator(args: argparse.Namespace) -> int:
+    from repro import catalog
+    from repro.analysis.experiments import run_conciliator_trials
+
     factory = catalog.get(args.algorithm).factory
     register_model, adversary = _parse_model_arguments(args)
     stats = run_conciliator_trials(
@@ -741,6 +715,10 @@ def _cmd_conciliator(args: argparse.Namespace) -> int:
 
 
 def _cmd_decay(args: argparse.Namespace) -> int:
+    from repro import catalog
+    from repro.analysis.experiments import decay_series
+    from repro.analysis.tables import render_table
+
     record = catalog.get(args.algorithm)
     assert record.decay_bound is not None  # argparse choices
     series = decay_series(
@@ -774,6 +752,7 @@ def _cmd_decay(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from repro import catalog
     from repro.obs.metrics import MetricsRegistry
     from repro.workloads.search import search_worst_schedule
 
@@ -809,6 +788,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_tas(args: argparse.Namespace) -> int:
     from repro.tas.sifting_tas import SiftingTestAndSet
+    from repro.workloads.schedules import make_schedule
 
     unique_winner_failures = 0
     winner_steps = []
@@ -842,6 +822,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import model_overrides
     from repro.analysis.paper import select_experiments
     from repro.errors import ConfigurationError
+    from repro.runtime.parallel import parallelism
 
     if not (math.isfinite(args.scale) and args.scale > 0):
         raise ConfigurationError(
@@ -1424,29 +1405,125 @@ def _cmd_growth(args: argparse.Namespace) -> int:
     return 0 if report["checks"]["ok"] else 1
 
 
+#: Each subcommand's ``add_parser`` options, argument builder and handler.
+_COMMANDS: Dict[str, Tuple[Dict[str, Any],
+                           Callable[[argparse.ArgumentParser], None],
+                           Callable[[argparse.Namespace], int]]] = {
+    "consensus": (
+        {"help": "run one consensus execution"},
+        _consensus_arguments, _cmd_consensus,
+    ),
+    "conciliator": (
+        {"help": "estimate agreement rate over repeated trials"},
+        _conciliator_arguments, _cmd_conciliator,
+    ),
+    "decay": (
+        {"help": "survivor decay vs the paper bound"},
+        _decay_arguments, _cmd_decay,
+    ),
+    "search": (
+        {"help": "search for the worst oblivious schedule"},
+        _search_arguments, _cmd_search,
+    ),
+    "tas": (
+        {"help": "test-and-set trials (E14 machinery)"},
+        _tas_arguments, _cmd_tas,
+    ),
+    "experiments": (
+        {"help": "regenerate the paper's experiment tables"},
+        _experiments_arguments, _cmd_experiments,
+    ),
+    "probe": (
+        {"help": "tabulate agreement rate vs adversary-ladder rung "
+                 "(oblivious < noisy < late < adaptive) and register model "
+                 "(atomic/regular/safe) at fixed (n, trials)"},
+        _probe_arguments, _cmd_probe,
+    ),
+    "fuzz": (
+        {"help": "chaos-fuzz random protocol/schedule/fault scenarios under "
+                 "the full oracle suite"},
+        _fuzz_arguments, _cmd_fuzz,
+    ),
+    "replay": (
+        {"help": "re-run the regression corpus and check each case "
+                 "still fires its recorded oracles"},
+        _replay_arguments, _cmd_replay,
+    ),
+    "explain": (
+        {"help": "replay one corpus case under a full trace and "
+                 "print its persona-lineage, disagreement, and "
+                 "step-attribution analysis"},
+        _explain_arguments, _cmd_explain,
+    ),
+    "timeline": (
+        {"help": "render a deterministic per-process timeline of a corpus "
+                 "case (replayed under a full trace) or a saved trace JSONL"},
+        _timeline_arguments, _cmd_timeline,
+    ),
+    "bench": (
+        {"help": "run the curated perf suite and emit a machine-readable "
+                 "BENCH_<label>.json report"},
+        _bench_arguments, _cmd_bench,
+    ),
+    "growth": (
+        {"help": "sweep n over decades to the million-process regime and "
+                 "emit the deterministic GROWTH_<label>.json separation "
+                 "curves",
+         "description": "Run the asymptotic growth-curve experiment: "
+                        "ensemble per-process work for the snapshot/sifting "
+                        "conciliators and the DoublingCIL baseline on the "
+                        "vectorized backend, the baseline's solo-run log-n "
+                        "ladder on the generator backend, and a "
+                        "sparse/streaming shared-state probe at the largest "
+                        "decade.  The report is a pure function of (label, "
+                        "seed, epsilon, max-n) — no wall clock or git SHA — "
+                        "so CI regenerates the committed baseline and "
+                        "compares bytes.",
+         "epilog": "Exit codes: 0 = curves computed and self-checks passed; "
+                   "1 = self-checks failed; 2 = usage or configuration "
+                   "error."},
+        _growth_arguments, _cmd_growth,
+    ),
+    "serve": (
+        {"help": "serve consensus rounds as sessions over JSON-lines TCP",
+         "description": "Bind the consensus service to a TCP endpoint: one "
+                        "SessionRequest JSON object per line in, one "
+                        "SessionResponse JSON line out.  Runs the same "
+                        "service code as 'loadtest', on the real clock."},
+        _serve_arguments, _cmd_serve,
+    ),
+    "loadtest": (
+        {"help": "replay seeded open-loop traffic and emit an SLO report",
+         "description": "Drive the consensus service with a deterministic "
+                        "seeded arrival process on a virtual-time event "
+                        "loop. Completes in wall-clock milliseconds "
+                        "regardless of the traffic's virtual duration, and "
+                        "the SLO report is byte-identical for a given seed "
+                        "(modulo the wall_clock section)."},
+        _loadtest_arguments, _cmd_loadtest,
+    ),
+    "slo": (
+        {"help": "inspect SLO artifacts: trend ledger, per-session "
+                 "waterfalls",
+         "description": "Tools over the service layer's SLO artifacts: "
+                        "'trend' summarizes the append-only "
+                        "SLO_history.jsonl ledger (the loadtest --history "
+                        "output), 'waterfall' renders one session's span "
+                        "tree from a loadtest --spans file as an ASCII or "
+                        "HTML waterfall chart."},
+        _slo_arguments, _cmd_slo,
+    ),
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "consensus": _cmd_consensus,
-        "conciliator": _cmd_conciliator,
-        "decay": _cmd_decay,
-        "search": _cmd_search,
-        "tas": _cmd_tas,
-        "experiments": _cmd_experiments,
-        "probe": _cmd_probe,
-        "fuzz": _cmd_fuzz,
-        "replay": _cmd_replay,
-        "explain": _cmd_explain,
-        "timeline": _cmd_timeline,
-        "bench": _cmd_bench,
-        "growth": _cmd_growth,
-        "serve": _cmd_serve,
-        "loadtest": _cmd_loadtest,
-        "slo": _cmd_slo,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser takes no options but ``--help``, so the first
+    # argument that is not an option names the subcommand.
+    command = next((arg for arg in argv if not arg.startswith("-")), "")
+    args = build_parser(command).parse_args(argv)
     try:
-        code = handlers[args.command](args)
+        code = _COMMANDS[args.command][2](args)
         sys.stdout.flush()
         return code
     except ReproError as error:

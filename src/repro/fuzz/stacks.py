@@ -405,3 +405,8 @@ register_service_chaos("brownout", ServiceFaultPlan(
         ResponseDelayFault(shard=1, start=2.0, duration=0.5, delay=0.1),
     ),
 ))
+
+# The planted calibration stacks register themselves when their module
+# runs; importing it here, after every honest and ladder stack, keeps the
+# registry complete and its order fixed whichever module is imported first.
+import repro.fuzz.planted  # noqa: E402, F401

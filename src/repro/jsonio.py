@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import warnings
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple, TypeVar, Union
@@ -79,6 +78,8 @@ def git_sha() -> str:
 
     Bench reports and the bench and SLO ledger lines stamp it.
     """
+    import subprocess
+
     try:
         completed = subprocess.run(
             ["git", "rev-parse", "HEAD"],

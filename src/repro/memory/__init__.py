@@ -25,41 +25,52 @@ safe) and the resolver/injector machinery that applies a model as a
 read-resolution policy.
 """
 
-from repro.memory.base import SharedObject
-from repro.memory.bounded_max_register import BoundedMaxRegister
-from repro.memory.emulated_snapshot import (
-    EmulatedSnapshot,
-    LazyRegisterFile,
-    SnapshotCell,
-)
-from repro.memory.max_register import MaxRegister
-from repro.memory.register import AtomicRegister
-from repro.memory.register_array import RegisterArray, SnapshotArray
-from repro.memory.semantics import (
-    RegisterModel,
-    SemanticsInjector,
-    SemanticsResolver,
-)
-from repro.memory.snapshot import (
-    SPARSE_AUTO_THRESHOLD,
-    SnapshotObject,
-    SparseView,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "SharedObject",
-    "AtomicRegister",
-    "SnapshotObject",
-    "SparseView",
-    "SPARSE_AUTO_THRESHOLD",
-    "MaxRegister",
-    "BoundedMaxRegister",
-    "EmulatedSnapshot",
-    "LazyRegisterFile",
-    "SnapshotCell",
-    "RegisterArray",
-    "SnapshotArray",
-    "RegisterModel",
-    "SemanticsInjector",
-    "SemanticsResolver",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.memory.base": ("SharedObject",),
+    "repro.memory.bounded_max_register": ("BoundedMaxRegister",),
+    "repro.memory.emulated_snapshot": (
+        "EmulatedSnapshot", "LazyRegisterFile", "SnapshotCell",
+    ),
+    "repro.memory.max_register": ("MaxRegister",),
+    "repro.memory.register": ("AtomicRegister",),
+    "repro.memory.register_array": ("RegisterArray", "SnapshotArray"),
+    "repro.memory.semantics": (
+        "RegisterModel", "SemanticsInjector", "SemanticsResolver",
+    ),
+    "repro.memory.snapshot": (
+        "SnapshotObject", "SparseView", "SPARSE_AUTO_THRESHOLD",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.memory.base import SharedObject as SharedObject
+    from repro.memory.bounded_max_register import (
+        BoundedMaxRegister as BoundedMaxRegister,
+    )
+    from repro.memory.emulated_snapshot import (
+        EmulatedSnapshot as EmulatedSnapshot,
+        LazyRegisterFile as LazyRegisterFile,
+        SnapshotCell as SnapshotCell,
+    )
+    from repro.memory.max_register import MaxRegister as MaxRegister
+    from repro.memory.register import AtomicRegister as AtomicRegister
+    from repro.memory.register_array import (
+        RegisterArray as RegisterArray,
+        SnapshotArray as SnapshotArray,
+    )
+    from repro.memory.semantics import (
+        RegisterModel as RegisterModel,
+        SemanticsInjector as SemanticsInjector,
+        SemanticsResolver as SemanticsResolver,
+    )
+    from repro.memory.snapshot import (
+        SPARSE_AUTO_THRESHOLD as SPARSE_AUTO_THRESHOLD,
+        SnapshotObject as SnapshotObject,
+        SparseView as SparseView,
+    )

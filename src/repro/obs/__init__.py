@@ -34,97 +34,93 @@ PR 5 adds the *analysis* half — turning recordings into explanations:
   bench ledger and its ``repro bench trend`` summary.
 """
 
-from repro.obs.analyze import (
-    ANALYSIS_SCHEMA_VERSION,
-    AdoptionStep,
-    AttributionReport,
-    DisagreementReport,
-    PersonaLineage,
-    SurvivingLineage,
-    attribute_steps,
-    build_lineages,
-    explain_disagreement,
-)
-from repro.obs.bench import (
-    BENCH_SCHEMA_VERSION,
-    BenchComparison,
-    CaseComparison,
-    SUITE_NAMES,
-    compare_bench,
-    load_bench_json,
-    run_bench_suite,
-    write_bench_json,
-)
-from repro.obs.events import (
-    EVENT_KINDS,
-    TRACE_SCHEMA_VERSION,
-    TraceEventRecord,
-    event_from_json,
-    event_to_json,
-    read_trace_jsonl,
-    write_trace_jsonl,
-)
-from repro.obs.metrics import (
-    METRICS_SCHEMA_VERSION,
-    Counter,
-    Histogram,
-    MetricsHook,
-    MetricsRegistry,
-    merge_snapshots,
-)
-from repro.obs.timeline import (
-    render_timeline,
-    render_timeline_html,
-    render_waterfall,
-    render_waterfall_html,
-)
-from repro.obs.tracing import TraceRecorder
-from repro.obs.trend import (
-    BENCH_LEDGER,
-    TREND_SCHEMA_VERSION,
-    Trend,
-    TrendLedger,
-    history_entry,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ANALYSIS_SCHEMA_VERSION",
-    "AdoptionStep",
-    "AttributionReport",
-    "BENCH_LEDGER",
-    "BENCH_SCHEMA_VERSION",
-    "BenchComparison",
-    "CaseComparison",
-    "Counter",
-    "DisagreementReport",
-    "EVENT_KINDS",
-    "Histogram",
-    "METRICS_SCHEMA_VERSION",
-    "MetricsHook",
-    "MetricsRegistry",
-    "PersonaLineage",
-    "SUITE_NAMES",
-    "SurvivingLineage",
-    "TRACE_SCHEMA_VERSION",
-    "TREND_SCHEMA_VERSION",
-    "TraceEventRecord",
-    "TraceRecorder",
-    "Trend",
-    "TrendLedger",
-    "attribute_steps",
-    "build_lineages",
-    "compare_bench",
-    "event_from_json",
-    "event_to_json",
-    "explain_disagreement",
-    "history_entry",
-    "load_bench_json",
-    "merge_snapshots",
-    "read_trace_jsonl",
-    "render_timeline",
-    "render_timeline_html",
-    "render_waterfall",
-    "render_waterfall_html",
-    "run_bench_suite",
-    "write_trace_jsonl",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.obs.analyze": (
+        "ANALYSIS_SCHEMA_VERSION", "AdoptionStep", "AttributionReport",
+        "DisagreementReport", "PersonaLineage", "SurvivingLineage",
+        "attribute_steps", "build_lineages", "explain_disagreement",
+    ),
+    "repro.obs.bench": (
+        "BENCH_SCHEMA_VERSION", "BenchComparison", "CaseComparison",
+        "SUITE_NAMES", "compare_bench", "load_bench_json", "run_bench_suite",
+        "write_bench_json",
+    ),
+    "repro.obs.events": (
+        "EVENT_KINDS", "TRACE_SCHEMA_VERSION", "TraceEventRecord",
+        "event_from_json", "event_to_json", "read_trace_jsonl",
+        "write_trace_jsonl",
+    ),
+    "repro.obs.metrics": (
+        "Counter", "Histogram", "METRICS_SCHEMA_VERSION", "MetricsHook",
+        "MetricsRegistry", "merge_snapshots",
+    ),
+    "repro.obs.timeline": (
+        "render_timeline", "render_timeline_html", "render_waterfall",
+        "render_waterfall_html",
+    ),
+    "repro.obs.tracing": ("TraceRecorder",),
+    "repro.obs.trend": (
+        "BENCH_LEDGER", "TREND_SCHEMA_VERSION", "Trend", "TrendLedger",
+        "history_entry",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.obs.analyze import (
+        ANALYSIS_SCHEMA_VERSION as ANALYSIS_SCHEMA_VERSION,
+        AdoptionStep as AdoptionStep,
+        AttributionReport as AttributionReport,
+        DisagreementReport as DisagreementReport,
+        PersonaLineage as PersonaLineage,
+        SurvivingLineage as SurvivingLineage,
+        attribute_steps as attribute_steps,
+        build_lineages as build_lineages,
+        explain_disagreement as explain_disagreement,
+    )
+    from repro.obs.bench import (
+        BENCH_SCHEMA_VERSION as BENCH_SCHEMA_VERSION,
+        SUITE_NAMES as SUITE_NAMES,
+        BenchComparison as BenchComparison,
+        CaseComparison as CaseComparison,
+        compare_bench as compare_bench,
+        load_bench_json as load_bench_json,
+        run_bench_suite as run_bench_suite,
+        write_bench_json as write_bench_json,
+    )
+    from repro.obs.events import (
+        EVENT_KINDS as EVENT_KINDS,
+        TRACE_SCHEMA_VERSION as TRACE_SCHEMA_VERSION,
+        TraceEventRecord as TraceEventRecord,
+        event_from_json as event_from_json,
+        event_to_json as event_to_json,
+        read_trace_jsonl as read_trace_jsonl,
+        write_trace_jsonl as write_trace_jsonl,
+    )
+    from repro.obs.metrics import (
+        METRICS_SCHEMA_VERSION as METRICS_SCHEMA_VERSION,
+        Counter as Counter,
+        Histogram as Histogram,
+        MetricsHook as MetricsHook,
+        MetricsRegistry as MetricsRegistry,
+        merge_snapshots as merge_snapshots,
+    )
+    from repro.obs.timeline import (
+        render_timeline as render_timeline,
+        render_timeline_html as render_timeline_html,
+        render_waterfall as render_waterfall,
+        render_waterfall_html as render_waterfall_html,
+    )
+    from repro.obs.tracing import TraceRecorder as TraceRecorder
+    from repro.obs.trend import (
+        BENCH_LEDGER as BENCH_LEDGER,
+        TREND_SCHEMA_VERSION as TREND_SCHEMA_VERSION,
+        Trend as Trend,
+        TrendLedger as TrendLedger,
+        history_entry as history_entry,
+    )

@@ -21,126 +21,122 @@ is exact, not an approximation: step counts are the very quantity the paper's
 theorems bound.
 """
 
-from repro.runtime.adaptive import (
-    AdaptiveAdversary,
-    AdversaryView,
-    LongestFirstAdversary,
-    PendingKindAdversary,
-    RandomAdaptiveAdversary,
-    ShortestFirstAdversary,
-    SiftKillerAdversary,
-    run_adaptive_programs,
-)
-from repro.runtime.adversary import (
-    AdversarySpec,
-    LateAdversary,
-    NoisySchedulerAdversary,
-    make_adversary,
-)
-from repro.runtime.checkpoint import CheckpointJournal
-from repro.runtime.faults import (
-    CrashFault,
-    FaultInjector,
-    FaultPlan,
-    InterceptedResult,
-    RegisterFault,
-    StallFault,
-    StepHook,
-)
-from repro.runtime.monitors import (
-    AdoptCommitCoherenceMonitor,
-    InvariantMonitor,
-    InvariantViolation,
-    RegisterSemanticsMonitor,
-    ValidityMonitor,
-    WaitFreedomWatchdog,
-)
-from repro.runtime.operations import (
-    MaxRead,
-    MaxWrite,
-    Operation,
-    Read,
-    Scan,
-    Update,
-    Write,
-)
-from repro.runtime.parallel import (
-    ParallelConfig,
-    get_default_parallelism,
-    parallelism,
-    run_indexed_trials,
-    set_default_parallelism,
-)
-from repro.runtime.process import Process, ProcessContext
-from repro.runtime.results import RunResult
-from repro.runtime.rng import SeedTree
-from repro.runtime.scheduler import (
-    BlockSchedule,
-    CrashSchedule,
-    ExplicitSchedule,
-    FrontRunnerSchedule,
-    LimitedSchedule,
-    RandomSchedule,
-    ReversedRoundRobinSchedule,
-    RoundRobinSchedule,
-    Schedule,
-)
-from repro.runtime.simulator import Simulator
-from repro.runtime.trace import TraceEvent, TraceRecorder
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Operation",
-    "Read",
-    "Write",
-    "Update",
-    "Scan",
-    "MaxRead",
-    "MaxWrite",
-    "Process",
-    "ProcessContext",
-    "RunResult",
-    "SeedTree",
-    "Schedule",
-    "ExplicitSchedule",
-    "RoundRobinSchedule",
-    "ReversedRoundRobinSchedule",
-    "RandomSchedule",
-    "BlockSchedule",
-    "FrontRunnerSchedule",
-    "CrashSchedule",
-    "LimitedSchedule",
-    "Simulator",
-    "ParallelConfig",
-    "get_default_parallelism",
-    "parallelism",
-    "run_indexed_trials",
-    "set_default_parallelism",
-    "TraceEvent",
-    "TraceRecorder",
-    "CheckpointJournal",
-    "CrashFault",
-    "FaultInjector",
-    "FaultPlan",
-    "InterceptedResult",
-    "RegisterFault",
-    "StallFault",
-    "StepHook",
-    "AdoptCommitCoherenceMonitor",
-    "InvariantMonitor",
-    "InvariantViolation",
-    "RegisterSemanticsMonitor",
-    "ValidityMonitor",
-    "WaitFreedomWatchdog",
-    "AdaptiveAdversary",
-    "AdversaryView",
-    "PendingKindAdversary",
-    "LongestFirstAdversary",
-    "ShortestFirstAdversary",
-    "RandomAdaptiveAdversary",
-    "SiftKillerAdversary",
-    "run_adaptive_programs",
-    "AdversarySpec",
-    "LateAdversary",
-    "NoisySchedulerAdversary",
-    "make_adversary",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.runtime.adaptive": (
+        "AdaptiveAdversary", "AdversaryView", "PendingKindAdversary",
+        "LongestFirstAdversary", "ShortestFirstAdversary",
+        "RandomAdaptiveAdversary", "SiftKillerAdversary",
+        "run_adaptive_programs",
+    ),
+    "repro.runtime.adversary": (
+        "AdversarySpec", "LateAdversary", "NoisySchedulerAdversary",
+        "make_adversary",
+    ),
+    "repro.runtime.checkpoint": ("CheckpointJournal",),
+    "repro.runtime.faults": (
+        "CrashFault", "FaultInjector", "FaultPlan", "InterceptedResult",
+        "RegisterFault", "StallFault", "StepHook",
+    ),
+    "repro.runtime.monitors": (
+        "AdoptCommitCoherenceMonitor", "InvariantMonitor",
+        "InvariantViolation", "RegisterSemanticsMonitor", "ValidityMonitor",
+        "WaitFreedomWatchdog",
+    ),
+    "repro.runtime.operations": (
+        "Operation", "Read", "Write", "Update", "Scan", "MaxRead", "MaxWrite",
+    ),
+    "repro.runtime.parallel": (
+        "ParallelConfig", "get_default_parallelism", "parallelism",
+        "run_indexed_trials", "set_default_parallelism",
+    ),
+    "repro.runtime.process": ("Process", "ProcessContext"),
+    "repro.runtime.results": ("RunResult",),
+    "repro.runtime.rng": ("SeedTree",),
+    "repro.runtime.scheduler": (
+        "Schedule", "ExplicitSchedule", "RoundRobinSchedule",
+        "ReversedRoundRobinSchedule", "RandomSchedule", "BlockSchedule",
+        "FrontRunnerSchedule", "CrashSchedule", "LimitedSchedule",
+    ),
+    "repro.runtime.simulator": ("Simulator",),
+    "repro.runtime.trace": ("TraceEvent", "TraceRecorder"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.runtime.adaptive import (
+        AdaptiveAdversary as AdaptiveAdversary,
+        AdversaryView as AdversaryView,
+        LongestFirstAdversary as LongestFirstAdversary,
+        PendingKindAdversary as PendingKindAdversary,
+        RandomAdaptiveAdversary as RandomAdaptiveAdversary,
+        ShortestFirstAdversary as ShortestFirstAdversary,
+        SiftKillerAdversary as SiftKillerAdversary,
+        run_adaptive_programs as run_adaptive_programs,
+    )
+    from repro.runtime.adversary import (
+        AdversarySpec as AdversarySpec,
+        LateAdversary as LateAdversary,
+        NoisySchedulerAdversary as NoisySchedulerAdversary,
+        make_adversary as make_adversary,
+    )
+    from repro.runtime.checkpoint import CheckpointJournal as CheckpointJournal
+    from repro.runtime.faults import (
+        CrashFault as CrashFault,
+        FaultInjector as FaultInjector,
+        FaultPlan as FaultPlan,
+        InterceptedResult as InterceptedResult,
+        RegisterFault as RegisterFault,
+        StallFault as StallFault,
+        StepHook as StepHook,
+    )
+    from repro.runtime.monitors import (
+        AdoptCommitCoherenceMonitor as AdoptCommitCoherenceMonitor,
+        InvariantMonitor as InvariantMonitor,
+        InvariantViolation as InvariantViolation,
+        RegisterSemanticsMonitor as RegisterSemanticsMonitor,
+        ValidityMonitor as ValidityMonitor,
+        WaitFreedomWatchdog as WaitFreedomWatchdog,
+    )
+    from repro.runtime.operations import (
+        MaxRead as MaxRead,
+        MaxWrite as MaxWrite,
+        Operation as Operation,
+        Read as Read,
+        Scan as Scan,
+        Update as Update,
+        Write as Write,
+    )
+    from repro.runtime.parallel import (
+        ParallelConfig as ParallelConfig,
+        get_default_parallelism as get_default_parallelism,
+        parallelism as parallelism,
+        run_indexed_trials as run_indexed_trials,
+        set_default_parallelism as set_default_parallelism,
+    )
+    from repro.runtime.process import (
+        Process as Process,
+        ProcessContext as ProcessContext,
+    )
+    from repro.runtime.results import RunResult as RunResult
+    from repro.runtime.rng import SeedTree as SeedTree
+    from repro.runtime.scheduler import (
+        BlockSchedule as BlockSchedule,
+        CrashSchedule as CrashSchedule,
+        ExplicitSchedule as ExplicitSchedule,
+        FrontRunnerSchedule as FrontRunnerSchedule,
+        LimitedSchedule as LimitedSchedule,
+        RandomSchedule as RandomSchedule,
+        ReversedRoundRobinSchedule as ReversedRoundRobinSchedule,
+        RoundRobinSchedule as RoundRobinSchedule,
+        Schedule as Schedule,
+    )
+    from repro.runtime.simulator import Simulator as Simulator
+    from repro.runtime.trace import (
+        TraceEvent as TraceEvent,
+        TraceRecorder as TraceRecorder,
+    )

@@ -42,16 +42,20 @@ resumed result is bit-identical to an uninterrupted run.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, StepLimitExceededError
-from repro.runtime.backoff import BackoffPolicy
-from repro.runtime.checkpoint import CheckpointJournal
+
+# ``multiprocessing``, the retry backoff and the checkpoint journal load
+# only on the paths that use them (a fork pool, a ``checkpoint_path``), so
+# serial sweeps do not pay for importing them.
+if TYPE_CHECKING:
+    from repro.runtime.backoff import BackoffPolicy
+    from repro.runtime.checkpoint import CheckpointJournal
 
 __all__ = [
     "MAX_RETRY_BACKOFF",
@@ -83,6 +87,8 @@ def retry_backoff_policy(base: float) -> BackoffPolicy:
     exact policy the trial engine applies: full jitter, ×2 growth, capped
     at :data:`MAX_RETRY_BACKOFF`.
     """
+    from repro.runtime.backoff import BackoffPolicy
+
     return BackoffPolicy(base=base, multiplier=2.0, max_delay=MAX_RETRY_BACKOFF)
 
 
@@ -94,6 +100,8 @@ def supports_fork() -> bool:
     pickling it.  Without ``fork`` the engine falls back to in-process
     execution, which is always correct, just serial.
     """
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -322,6 +330,8 @@ def run_indexed_trials(
         chunk_size = default_chunk_size(trials, worker_count)
     journal: Optional[CheckpointJournal] = None
     if checkpoint_path is not None:
+        from repro.runtime.checkpoint import CheckpointJournal
+
         journal = CheckpointJournal.open(
             checkpoint_path, run_key=run_key, trials=trials, chunk_size=chunk_size
         )
@@ -380,6 +390,10 @@ def _run_sharded(
     their own exception, hung chunks raise
     :class:`StepLimitExceededError`.
     """
+    import multiprocessing
+
+    from repro.runtime.backoff import BackoffPolicy
+
     global _ACTIVE_TASK
     policy = retry_backoff_policy(backoff)
     jitter = BackoffPolicy.rng(0, "parallel-retry", run_key)

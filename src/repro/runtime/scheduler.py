@@ -65,6 +65,16 @@ def _check_n(n: int) -> int:
     return n
 
 
+def _check_seed(seed: int) -> int:
+    """Refuse a seed that is not an int: ``None`` would seed from OS
+    entropy, so two ``iter()`` calls would give different streams."""
+    if not isinstance(seed, int):
+        raise ConfigurationError(
+            f"a seeded schedule needs an int seed, got {seed!r}"
+        )
+    return seed
+
+
 def _shuffled_passes(seed: int, items: List[int]) -> Iterator[int]:
     """Endless passes over ``items``, each after a fresh in-place shuffle.
 
@@ -198,7 +208,7 @@ class PermutedRoundRobinSchedule(Schedule):
 
     def __init__(self, n: int, seed: int):
         self.n = _check_n(n)
-        self.seed = seed
+        self.seed = _check_seed(seed)
 
     def __iter__(self) -> Iterator[int]:
         return _shuffled_passes(self.seed, list(range(self.n)))
@@ -218,7 +228,7 @@ class InterleavedLockstepSchedule(Schedule):
 
     def __init__(self, n: int, seed: int):
         self.n = _check_n(n)
-        self.seed = seed
+        self.seed = _check_seed(seed)
 
     def __iter__(self) -> Iterator[int]:
         return _shuffled_passes(
@@ -236,7 +246,7 @@ class RandomSchedule(Schedule):
 
     def __init__(self, n: int, seed: int):
         self.n = _check_n(n)
-        self.seed = seed
+        self.seed = _check_seed(seed)
 
     def __iter__(self) -> Iterator[int]:
         # ``Random.randrange(n)``'s own rejection loop, inlined: draw
@@ -260,7 +270,7 @@ class BlockSchedule(Schedule):
         if block_size < 1:
             raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
         self.block_size = block_size
-        self.seed = seed
+        self.seed = _check_seed(seed)
 
     def __iter__(self) -> Iterator[int]:
         rng = random.Random(self.seed)

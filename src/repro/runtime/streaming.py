@@ -49,7 +49,7 @@ import itertools
 from typing import Iterator, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.runtime.scheduler import Schedule, _check_n
+from repro.runtime.scheduler import Schedule, _check_n, _check_seed
 
 __all__ = [
     "FeistelPermutation",
@@ -146,7 +146,7 @@ class StreamingPermutedSchedule(_StreamingSchedule):
 
     def __init__(self, n: int, seed: int):
         self.n = _check_n(n)
-        self.seed = seed
+        self.seed = _check_seed(seed)
         self._pass_index: Optional[int] = None
         self._pass_prp: Optional[FeistelPermutation] = None
 
@@ -179,7 +179,7 @@ class StreamingInterleavedSchedule(_StreamingSchedule):
 
     def __init__(self, n: int, seed: int):
         self.n = _check_n(n)
-        self.seed = seed
+        self.seed = _check_seed(seed)
         self._window_index: Optional[int] = None
         self._window_prp: Optional[FeistelPermutation] = None
 
@@ -211,7 +211,7 @@ class StreamingRandomSchedule(_StreamingSchedule):
 
     def __init__(self, n: int, seed: int):
         self.n = _check_n(n)
-        self.seed = seed
+        self.seed = _check_seed(seed)
 
     def pid_at(self, step: int) -> int:
         return (_mix64((self.seed << 1) ^ _mix64(step)) * self.n) >> 64

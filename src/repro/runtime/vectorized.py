@@ -127,10 +127,14 @@ _INSTALL_HINT = (
 
 
 def numpy_available() -> bool:
-    """True when ``import numpy`` succeeds (the backend is usable)."""
+    """True when ``import numpy`` succeeds (the backend is usable).
+
+    Only a missing NumPy reads as unavailable: an installed NumPy whose
+    import fails some other way raises, rather than passing for absent.
+    """
     try:
         import numpy  # noqa: F401
-    except Exception:
+    except ImportError:
         return False
     return True
 
@@ -138,7 +142,7 @@ def numpy_available() -> bool:
 def _require_numpy():
     try:
         import numpy
-    except Exception as error:
+    except ImportError as error:
         raise ConfigurationError(_INSTALL_HINT) from error
     return numpy
 

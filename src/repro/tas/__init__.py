@@ -14,6 +14,15 @@ implements that protocol so the structural kinship can be measured
   RatRace object; DESIGN.md records the substitution).
 """
 
-from repro.tas.sifting_tas import SiftingTestAndSet
+from typing import TYPE_CHECKING
 
-__all__ = ["SiftingTestAndSet"]
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.tas.sifting_tas": ("SiftingTestAndSet",),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.tas.sifting_tas import SiftingTestAndSet as SiftingTestAndSet

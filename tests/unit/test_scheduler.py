@@ -282,3 +282,27 @@ class TestInterleavedLockstep:
         window = [pid for pid in range(n) for _ in range(2)]
         expected = shuffled_passes(seed, window, 40)
         assert InterleavedLockstepSchedule(n, seed).take(80 * n) == expected
+
+
+SEEDED_FAMILIES = [
+    lambda seed: RandomSchedule(3, seed),
+    lambda seed: PermutedRoundRobinSchedule(3, seed),
+    lambda seed: InterleavedLockstepSchedule(3, seed),
+    lambda seed: BlockSchedule(3, 2, seed),
+]
+
+
+class TestSeedValidation:
+    """A seeded schedule must be a pure function of an int seed: ``None``
+    would seed from OS entropy, so two ``iter()`` calls would disagree."""
+
+    @pytest.mark.parametrize("build", SEEDED_FAMILIES)
+    @pytest.mark.parametrize("seed", [None, 1.5, "7"])
+    def test_non_int_seed_is_refused(self, build, seed):
+        with pytest.raises(ConfigurationError, match="int seed"):
+            build(seed)
+
+    @pytest.mark.parametrize("build", SEEDED_FAMILIES)
+    def test_int_seed_restarts_identically(self, build):
+        schedule = build(2012)
+        assert schedule.take(40) == schedule.take(40)

@@ -229,3 +229,16 @@ class TestMaterializedScaleGuard:
             SeedTree(1).child("schedule"),
         )
         assert 0 <= schedule.pid_at(0) < MAX_MATERIALIZED_N * 8
+
+
+@pytest.mark.parametrize("family", [
+    StreamingPermutedSchedule,
+    StreamingInterleavedSchedule,
+    StreamingRandomSchedule,
+])
+@pytest.mark.parametrize("seed", [None, 1.5, "7"])
+def test_non_int_seed_is_refused(family, seed):
+    # A ConfigurationError at construction, not a bare TypeError on the
+    # first slot.
+    with pytest.raises(ConfigurationError, match="int seed"):
+        family(3, seed)

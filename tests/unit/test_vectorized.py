@@ -236,3 +236,68 @@ def test_missing_numpy_degrades_cleanly(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "NO-NUMPY-OK" in result.stdout
+
+
+_BROKEN_NUMPY_SCRIPT = textwrap.dedent(
+    """
+    import importlib.abc
+    import importlib.util
+    import sys
+
+
+    class BrokenNumpy(importlib.abc.MetaPathFinder, importlib.abc.Loader):
+        # An installed NumPy whose import raises something other than
+        # ImportError.
+        def find_spec(self, name, path, target=None):
+            if name == "numpy":
+                return importlib.util.spec_from_loader(name, self)
+            return None
+
+        def create_module(self, spec):
+            return None
+
+        def exec_module(self, module):
+            raise RuntimeError("numpy is broken")
+
+
+    sys.meta_path.insert(0, BrokenNumpy())
+    sys.modules.pop("numpy", None)
+
+    from repro.analysis.experiments import run_conciliator_trials
+    from repro.core.sifting_conciliator import SiftingConciliator
+    from repro.runtime.vectorized import numpy_available
+
+
+    def fails_loudly(call):
+        try:
+            call()
+        except RuntimeError as error:
+            assert "numpy is broken" in str(error), error
+        else:
+            raise AssertionError("a broken numpy passed for an absent one")
+
+
+    fails_loudly(numpy_available)
+    fails_loudly(lambda: run_conciliator_trials(
+        lambda: SiftingConciliator(3), [0, 1, 2], trials=3,
+        backend="vectorized",
+    ))
+    print("BROKEN-NUMPY-OK")
+    """
+)
+
+
+def test_broken_numpy_fails_loudly(tmp_path):
+    """A NumPy that is installed but fails to import with anything other
+    than ImportError propagates its error from the availability probe and
+    from the backend, instead of reading as "not installed"."""
+    script = tmp_path / "broken_numpy_probe.py"
+    script.write_text(_BROKEN_NUMPY_SCRIPT)
+    result = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "BROKEN-NUMPY-OK" in result.stdout
