@@ -1,89 +1,69 @@
-"""Retry backoff policy shared by the trial engine and the service layer.
+"""Retry backoff policy for the service layer's per-session worker retries.
 
 Retrying a failed unit of work immediately is how transient faults become
 correlated storms: every client that saw the same blip retries at the same
 instant.  The standard remedy (AWS architecture blog, "Exponential Backoff
 and Jitter") is *capped full-jitter exponential backoff* — the ``k``-th
-retry sleeps a uniform draw from ``[0, min(max_delay, base * mult**k)]`` —
+retry sleeps a uniform draw from ``[0, min(max_delay, base * 2**k)]`` —
 which decorrelates retriers while keeping the expected delay growing
 geometrically until the cap.
 
-:class:`BackoffPolicy` is a frozen value object so one policy instance can
-be shared between layers: :mod:`repro.runtime.parallel` applies it to
-chunk re-dispatches, and :mod:`repro.service` applies the same object to
-per-session worker retries.  Determinism matters in both places — sweep
-timing must be reproducible from seeds, and the virtual-time loadtest must
-be a pure function of its master seed — so the jitter draw never touches
-global randomness: callers pass an explicit ``random.Random`` (usually
-built with :meth:`BackoffPolicy.rng` from a seed-tree label).
+:class:`BackoffPolicy` is a frozen value object held by
+:class:`~repro.service.service.ServiceConfig`.  The virtual-time loadtest
+must be a pure function of its master seed, so the jitter draw never
+touches global randomness: callers pass an explicit ``random.Random``
+(usually built with :meth:`BackoffPolicy.rng` from a seed-tree label).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.runtime.rng import derive_seed
 
 __all__ = ["BackoffPolicy"]
 
-#: Jitter modes: ``full`` draws uniform [0, cap]; ``none`` sleeps the cap.
-_JITTER_MODES = ("full", "none")
+#: Geometric growth of the delay ceiling per attempt.
+_MULTIPLIER = 2.0
 
 
 @dataclass(frozen=True)
 class BackoffPolicy:
-    """Capped exponential backoff with optional full jitter.
+    """Capped exponential backoff with full jitter.
 
     Attributes:
-        base: delay ceiling for attempt 0, in seconds.
-        multiplier: geometric growth factor per attempt.
+        base: delay ceiling for attempt 0, in seconds; it doubles per
+            attempt.
         max_delay: hard cap on the delay ceiling, in seconds.
-        jitter: ``"full"`` (uniform in ``[0, cap]``, the default) or
-            ``"none"`` (sleep exactly the cap — used where a test needs
-            the worst case, never in production paths).
     """
 
     base: float = 0.25
-    multiplier: float = 2.0
     max_delay: float = 30.0
-    jitter: str = "full"
 
     def __post_init__(self) -> None:
-        if self.base < 0:
+        # ``not x >= 0`` also rejects NaN, which would otherwise slip
+        # through and turn every ceiling or jitter draw into NaN.
+        if not self.base >= 0:
             raise ConfigurationError(f"base must be >= 0, got {self.base}")
-        if self.multiplier < 1:
-            raise ConfigurationError(
-                f"multiplier must be >= 1, got {self.multiplier}"
-            )
-        if self.max_delay < 0:
+        if not self.max_delay >= 0:
             raise ConfigurationError(
                 f"max_delay must be >= 0, got {self.max_delay}"
-            )
-        if self.jitter not in _JITTER_MODES:
-            raise ConfigurationError(
-                f"unknown jitter mode {self.jitter!r}; "
-                f"choose from {_JITTER_MODES}"
             )
 
     def cap(self, attempt: int) -> float:
         """The delay ceiling for the given 0-based retry attempt."""
         if attempt < 0:
             raise ConfigurationError(f"attempt must be >= 0, got {attempt}")
-        return min(self.max_delay, self.base * self.multiplier ** attempt)
+        return min(self.max_delay, self.base * _MULTIPLIER ** attempt)
 
-    def delay(self, attempt: int, rng: Optional[random.Random] = None) -> float:
-        """The seconds to sleep before the given 0-based retry attempt.
-
-        With ``jitter="full"`` the delay is ``rng.uniform(0, cap(attempt))``
-        — callers must supply the ``rng`` so the draw stays deterministic;
-        omitting it falls back to the un-jittered cap (identical to
-        ``jitter="none"``), never to global randomness.
-        """
+    def delay(self, attempt: int, rng: random.Random) -> float:
+        """The seconds to sleep before the given 0-based retry attempt:
+        ``rng.uniform(0, cap(attempt))``, drawn from the caller's ``rng``
+        so the draw stays deterministic (no draw when the cap is 0)."""
         cap = self.cap(attempt)
-        if self.jitter == "none" or rng is None or cap == 0:
+        if cap == 0:
             return cap
         return rng.uniform(0.0, cap)
 

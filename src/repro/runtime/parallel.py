@@ -20,16 +20,16 @@ Design rules that make the engine deterministic:
 
 The engine degrades gracefully: with ``workers <= 1``, on platforms without
 the ``fork`` start method, or when invoked re-entrantly from inside a worker,
-it runs trials in-process with zero multiprocessing overhead.  Hung or
-failing chunks are retried in fresh pools under capped *full-jitter*
-exponential backoff (:class:`~repro.runtime.backoff.BackoffPolicy` — the
-same policy object the service layer applies to per-session worker
-retries); the jitter stream is seeded from the sweep's ``run_key``, so
-retry timing is a deterministic function of the sweep's identity.  Chunks
-that keep failing are *quarantined* (the rest of the sweep still completes
-and is journaled) and the run then fails loudly — with
-:class:`~repro.errors.StepLimitExceededError` for timeouts, or the chunk's
-own exception for task errors.
+it runs trials in-process with zero multiprocessing overhead.  On the fork
+pool every chunk runs exactly once: a trial is a pure function of its
+index, so a chunk that raised would raise again, and nothing is retried.
+The sweep still collects (and journals) every other chunk, then fails
+loudly with the lowest-indexed failed chunk's own exception, annotated
+with every failed trial range.  A ``KeyboardInterrupt`` (or any other
+:class:`BaseException`) in the coordinator terminates the pool and
+propagates at once.  How long a trial may run is bounded inside the trial
+(the simulator's ``step_limit``, the starvation guard, fuzz's wall-clock
+budget), not by the engine.
 
 Crash safety: pass ``checkpoint_path`` (plus a ``run_key`` describing the
 sweep) and every completed chunk is appended to an
@@ -43,22 +43,19 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, StepLimitExceededError
+from repro.errors import ConfigurationError
 
-# ``multiprocessing``, the retry backoff and the checkpoint journal load
-# only on the paths that use them (a fork pool, a ``checkpoint_path``), so
-# serial sweeps do not pay for importing them.
+# ``multiprocessing`` and the checkpoint journal load only on the paths
+# that use them (a fork pool, a ``checkpoint_path``), so serial sweeps do
+# not pay for importing them.
 if TYPE_CHECKING:
-    from repro.runtime.backoff import BackoffPolicy
     from repro.runtime.checkpoint import CheckpointJournal
 
 __all__ = [
-    "MAX_RETRY_BACKOFF",
     "ParallelConfig",
     "available_workers",
     "default_chunk_size",
@@ -66,7 +63,6 @@ __all__ = [
     "iter_chunks",
     "parallelism",
     "resolve_workers",
-    "retry_backoff_policy",
     "run_indexed_trials",
     "set_default_parallelism",
     "supports_fork",
@@ -75,21 +71,6 @@ __all__ = [
 #: Chunks handed out per worker when no chunk size is given; several chunks
 #: per worker smooths out trials with uneven runtimes.
 _CHUNKS_PER_WORKER = 4
-
-#: Hard cap on any single retry backoff sleep, in seconds.
-MAX_RETRY_BACKOFF = 30.0
-
-
-def retry_backoff_policy(base: float) -> BackoffPolicy:
-    """The chunk-retry backoff policy for a given base delay.
-
-    Exposed so tests (and the service layer's documentation) can pin the
-    exact policy the trial engine applies: full jitter, ×2 growth, capped
-    at :data:`MAX_RETRY_BACKOFF`.
-    """
-    from repro.runtime.backoff import BackoffPolicy
-
-    return BackoffPolicy(base=base, multiplier=2.0, max_delay=MAX_RETRY_BACKOFF)
 
 
 def supports_fork() -> bool:
@@ -157,23 +138,10 @@ class ParallelConfig:
             all available CPUs.
         chunk_size: trials dispatched per work unit; ``None`` picks
             :func:`default_chunk_size`.  Never affects results.
-        timeout: seconds to wait for any single chunk before declaring its
-            worker hung; ``None`` waits forever.
-        retries: how many times incomplete chunks are re-dispatched in a
-            fresh pool before they are quarantined and the run fails.
-        backoff: delay *ceiling* in seconds before the first re-dispatch;
-            the actual sleep is a seeded full-jitter draw from
-            ``[0, ceiling]`` and the ceiling doubles per re-dispatch up to
-            :data:`MAX_RETRY_BACKOFF` (see
-            :class:`~repro.runtime.backoff.BackoffPolicy`).  ``0`` retries
-            immediately (used by tests).
     """
 
     workers: int = 1
     chunk_size: Optional[int] = None
-    timeout: Optional[float] = None
-    retries: int = 1
-    backoff: float = 0.25
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -183,18 +151,6 @@ class ParallelConfig:
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ConfigurationError(
                 f"chunk_size must be >= 1, got {self.chunk_size}"
-            )
-        if self.timeout is not None and self.timeout <= 0:
-            raise ConfigurationError(
-                f"timeout must be positive, got {self.timeout}"
-            )
-        if self.retries < 0:
-            raise ConfigurationError(
-                f"retries must be >= 0, got {self.retries}"
-            )
-        if self.backoff < 0:
-            raise ConfigurationError(
-                f"backoff must be >= 0, got {self.backoff}"
             )
 
 
@@ -222,9 +178,6 @@ def set_default_parallelism(config: ParallelConfig) -> ParallelConfig:
 def parallelism(
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    backoff: Optional[float] = None,
 ) -> Iterator[ParallelConfig]:
     """Temporarily override the session default parallelism."""
     current = get_default_parallelism()
@@ -233,9 +186,6 @@ def parallelism(
         for key, value in (
             ("workers", workers),
             ("chunk_size", chunk_size),
-            ("timeout", timeout),
-            ("retries", retries),
-            ("backoff", backoff),
         )
         if value is not None
     }
@@ -272,9 +222,6 @@ def run_indexed_trials(
     *,
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    backoff: Optional[float] = None,
     checkpoint_path: Optional[str] = None,
     run_key: str = "",
 ) -> List[Any]:
@@ -286,10 +233,9 @@ def run_indexed_trials(
     list is bit-identical for every worker count and chunk size.
 
     Parameters default to the session :class:`ParallelConfig` (see
-    :func:`parallelism`).  Raises :class:`StepLimitExceededError` if chunks
-    are still unfinished after ``retries`` backed-off re-dispatches, and
-    re-raises the underlying exception when chunks are quarantined for
-    repeatedly failing.
+    :func:`parallelism`).  Every chunk runs once; if any raised, the
+    lowest-indexed failure's own exception propagates after the other
+    chunks are collected, with a note naming every failed trial range.
 
     With ``checkpoint_path``, every completed chunk is durably journaled
     (see :class:`~repro.runtime.checkpoint.CheckpointJournal`); re-running
@@ -302,16 +248,6 @@ def run_indexed_trials(
         raise ConfigurationError(f"trials must be >= 0, got {trials}")
     config = get_default_parallelism()
     worker_count = resolve_workers(workers)
-    if timeout is None:
-        timeout = config.timeout
-    if retries is None:
-        retries = config.retries
-    if retries < 0:
-        raise ConfigurationError(f"retries must be >= 0, got {retries}")
-    if backoff is None:
-        backoff = config.backoff
-    if backoff < 0:
-        raise ConfigurationError(f"backoff must be >= 0, got {backoff}")
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
     if trials == 0:
@@ -342,10 +278,7 @@ def run_indexed_trials(
     if serial:
         outcomes = _run_chunked_serial(task, chunks, journal)
     else:
-        outcomes = _run_sharded(
-            task, chunks, worker_count, timeout, retries, backoff, journal,
-            run_key=run_key,
-        )
+        outcomes = _run_sharded(task, chunks, worker_count, journal)
     return [outcome for chunk in outcomes for outcome in chunk]
 
 
@@ -372,31 +305,21 @@ def _run_sharded(
     task: Callable[[int], Any],
     chunks: List[Tuple[int, int]],
     workers: int,
-    timeout: Optional[float],
-    retries: int,
-    backoff: float,
-    journal: Optional[CheckpointJournal] = None,
-    *,
-    run_key: str = "",
+    journal: Optional[CheckpointJournal],
 ) -> List[List[Any]]:
-    """Dispatch chunks to a fork pool; retry stragglers; keep chunk order.
+    """Dispatch each pending chunk once to a fork pool; keep chunk order.
 
-    Chunks that time out or raise are re-dispatched in fresh pools under
-    capped full-jitter exponential backoff; the jitter stream is seeded
-    from ``run_key``, so the delay sequence is a deterministic function of
-    the sweep's identity (and never of wall clock or worker scheduling).
-    When retries are exhausted the surviving chunks have still completed
-    (and been journaled), and the run fails loudly: poison chunks re-raise
-    their own exception, hung chunks raise
-    :class:`StepLimitExceededError`.
+    A chunk that raises is not retried (its trials are pure functions of
+    their indices, so it would raise again).  The other chunks are still
+    collected and journaled, then the lowest-indexed failure's own
+    exception is raised with a note naming every failed trial range.
+    Anything that is not an :class:`Exception` (``KeyboardInterrupt``
+    above all) comes from the coordinator itself: the pool is terminated
+    and it propagates at once.
     """
     import multiprocessing
 
-    from repro.runtime.backoff import BackoffPolicy
-
     global _ACTIVE_TASK
-    policy = retry_backoff_policy(backoff)
-    jitter = BackoffPolicy.rng(0, "parallel-retry", run_key)
     results: List[Optional[List[Any]]] = [None] * len(chunks)
     pending = []
     for index, (start, stop) in enumerate(chunks):
@@ -405,76 +328,41 @@ def _run_sharded(
             results[index] = replayed
         else:
             pending.append(index)
-    failures: Dict[int, BaseException] = {}
-    context = multiprocessing.get_context("fork")
+    if not pending:  # a fully journaled resume: nothing to fork for
+        return results  # type: ignore[return-value]
+    failures: Dict[int, Exception] = {}
     _ACTIVE_TASK = task
     try:
-        for attempt in range(retries + 1):
-            if not pending:
-                break
-            if attempt > 0 and backoff > 0:
-                time.sleep(policy.delay(attempt - 1, jitter))
-            pool = context.Pool(processes=min(workers, len(pending)))
-            try:
-                handles = {
-                    index: pool.apply_async(_run_chunk, (chunks[index],))
-                    for index in pending
-                }
-                pool.close()
-                incomplete: List[int] = []
-                timed_out: List[int] = []
-                # Journal each chunk the moment it is collected — durability
-                # must not wait for the sweep's stragglers, or a mid-run kill
-                # would leave nothing to resume from.
-                def _collected(index: int, outcomes: List[Any]) -> None:
-                    results[index] = outcomes
-                    failures.pop(index, None)
-                    if journal is not None:
-                        start, stop = chunks[index]
-                        journal.record_chunk(start, stop, outcomes)
-
-                for index, handle in handles.items():
-                    try:
-                        _collected(index, handle.get(timeout))
-                    except multiprocessing.TimeoutError:
-                        incomplete.append(index)
-                        timed_out.append(index)
-                    except BaseException as error:  # the task's own exception
-                        incomplete.append(index)
-                        failures[index] = error
-                # Chunks that finished while we were blocked on an earlier
-                # straggler are ready now; salvage them before retrying.
-                for index in list(timed_out):
-                    if handles[index].ready():
-                        try:
-                            _collected(index, handles[index].get())
-                            incomplete.remove(index)
-                            timed_out.remove(index)
-                        except BaseException as error:
-                            failures[index] = error
-                            timed_out.remove(index)
-                pending = incomplete
-            finally:
-                pool.terminate()
-                pool.join()
-        if pending:
-            quarantined = sorted(index for index in pending if index in failures)
-            hung = sorted(index for index in pending if index not in failures)
-            if quarantined:
-                error = failures[quarantined[0]]
-                error.add_note(
-                    f"{len(quarantined)} of {len(chunks)} trial chunks "
-                    f"quarantined as poison after {retries + 1} attempt(s); "
-                    f"quarantined trial ranges: "
-                    f"{[chunks[i] for i in quarantined]}; "
-                    f"hung trial ranges: {[chunks[i] for i in hung]}"
-                )
-                raise error
-            raise StepLimitExceededError(
-                f"{len(hung)} of {len(chunks)} trial chunks timed out "
-                f"after {retries + 1} attempt(s) with timeout={timeout}s; "
-                f"unfinished trial ranges: {[chunks[i] for i in hung]}"
-            )
+        # Leaving the block terminates the pool, whether every chunk is in
+        # or the coordinator was interrupted mid-sweep.
+        with multiprocessing.get_context("fork").Pool(
+            processes=min(workers, len(pending))
+        ) as pool:
+            handles = [
+                (index, pool.apply_async(_run_chunk, (chunks[index],)))
+                for index in pending
+            ]
+            pool.close()
+            for index, handle in handles:
+                try:
+                    outcomes = handle.get()
+                except Exception as error:  # the task's own exception
+                    failures[index] = error
+                    continue
+                results[index] = outcomes
+                # Journal each chunk the moment it is collected, so a
+                # mid-run kill leaves every finished chunk to resume from.
+                if journal is not None:
+                    start, stop = chunks[index]
+                    journal.record_chunk(start, stop, outcomes)
     finally:
         _ACTIVE_TASK = None
+    if failures:
+        failed = sorted(failures)
+        error = failures[failed[0]]
+        error.add_note(
+            f"{len(failed)} of {len(chunks)} trial chunks failed (each ran "
+            f"once); failed trial ranges: {[chunks[i] for i in failed]}"
+        )
+        raise error
     return results  # type: ignore[return-value]

@@ -16,8 +16,8 @@ names happens here, in one place, in deterministic order:
   outlive its session.
 - **Retries with capped full jitter** — transient worker failures (chaos
   kills, blackouts, timeouts) retry up to ``max_attempts`` times under
-  the same :class:`~repro.runtime.backoff.BackoffPolicy` object the
-  parallel sweep engine uses, with per-session seeded jitter.
+  a capped full-jitter :class:`~repro.runtime.backoff.BackoffPolicy`,
+  with per-session seeded jitter.
 - **Circuit breakers** — one :class:`~repro.service.breaker.CircuitBreaker`
   per shard, consulted at admission, fed by attempt outcomes; an open
   breaker sheds with ``Rejected(code="breaker-open")``.
@@ -101,7 +101,7 @@ class ServiceConfig:
         attempt_timeout: per-attempt timeout ceiling; the effective
             timeout is ``min(attempt_timeout, remaining budget)``.
         max_attempts: worker attempts per session before giving up.
-        backoff: retry backoff policy, shared shape with the sweep engine.
+        backoff: retry backoff policy (capped full-jitter exponential).
         breaker: per-shard circuit breaker configuration.
         degrade_watermark: queue occupancy fraction that starts the
             overload clock.

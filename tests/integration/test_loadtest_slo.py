@@ -22,6 +22,7 @@ from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.fuzz.stacks import get_service_chaos
 from repro.jsonio import append_jsonl, dumps
+from repro.runtime.vectorized import numpy_available
 from repro.service import (
     ServiceConfig,
     build_report,
@@ -99,7 +100,13 @@ class TestOverloadStory:
         self, report
     ):
         assert report["degraded_mode"]["entered"] >= 1
-        assert report["sessions"]["degraded"] > 0
+        if numpy_available():
+            assert report["sessions"]["degraded"] > 0
+        else:
+            # No session is eligible for the vectorized backend without
+            # NumPy: degraded mode is entered, every session stays on the
+            # generator.
+            assert report["sessions"]["degraded"] == 0
 
     def test_session_accounting_sums_to_offered(self, report):
         """Offered = admitted + rejected + missing, with admitted drawn
@@ -131,6 +138,10 @@ class TestOverloadStory:
 
 
 class TestCommittedBaseline:
+    @pytest.mark.skipif(
+        not numpy_available(),
+        reason="the committed baseline's degraded sessions ran on numpy",
+    )
     def test_committed_baseline_regenerates_exactly(self):
         committed = load_report(BASELINE_PATH)
         regenerated = build_report(

@@ -1,9 +1,9 @@
-"""Unit tests for the shared retry backoff policy.
+"""Unit tests for the retry backoff policy.
 
-The policy is used by two layers (chunk retries in the parallel sweep
-engine, per-session worker retries in the service), so its contract is
-pinned here once: capped exponential ceilings, full-jitter draws inside
-``[0, cap]``, deterministic seeded jitter streams, and loud validation.
+The service retries a failed worker attempt under this policy, so its
+contract is pinned here: capped exponential ceilings, full-jitter draws
+inside ``[0, cap]``, deterministic seeded jitter streams, and loud
+validation.
 """
 
 import random
@@ -16,7 +16,7 @@ from repro.runtime.backoff import BackoffPolicy
 
 class TestCaps:
     def test_ceiling_grows_geometrically_until_the_cap(self):
-        policy = BackoffPolicy(base=0.25, multiplier=2.0, max_delay=30.0)
+        policy = BackoffPolicy(base=0.25, max_delay=30.0)
         assert policy.cap(0) == pytest.approx(0.25)
         assert policy.cap(1) == pytest.approx(0.5)
         assert policy.cap(4) == pytest.approx(4.0)
@@ -40,17 +40,6 @@ class TestJitter:
             for _ in range(50):
                 delay = policy.delay(attempt, rng)
                 assert 0.0 <= delay <= policy.cap(attempt)
-
-    def test_jitter_none_sleeps_exactly_the_ceiling(self):
-        policy = BackoffPolicy(base=0.5, max_delay=8.0, jitter="none")
-        rng = random.Random(7)
-        assert [policy.delay(k, rng) for k in range(5)] == [
-            policy.cap(k) for k in range(5)
-        ]
-
-    def test_missing_rng_falls_back_to_the_ceiling_not_global_random(self):
-        policy = BackoffPolicy(base=0.5, max_delay=8.0)
-        assert policy.delay(2) == policy.cap(2)
 
     def test_jitter_stream_is_deterministic_per_label(self):
         policy = BackoffPolicy(base=0.5, max_delay=8.0)
@@ -79,9 +68,8 @@ class TestJitter:
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"base": -0.1},
-        {"multiplier": 0.5},
         {"max_delay": -1.0},
-        {"jitter": "equal"},
+        {"max_delay": float("nan")},
     ])
     def test_bad_parameters_are_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -216,7 +216,7 @@ class TestVectorizedCases:
         # An explicit request is honoured even without NumPy, so the run
         # fails loudly with the backend's install hint instead of silently
         # benching nothing.  (The actual failure is exercised in the
-        # no-numpy subprocess test in tests/unit/test_vectorized.py.)
+        # no-numpy subprocess test in tests/unit/test_numpy_state.py.)
         import repro.obs.bench as bench_module
 
         monkeypatch.setattr(bench_module, "_numpy_available", lambda: False)

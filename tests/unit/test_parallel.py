@@ -1,15 +1,14 @@
 """Unit tests for the sharded trial engine (repro.runtime.parallel)."""
 
+import signal
 import time
 
 import pytest
 
 from repro.analysis.experiments import trial_seed_tree
-from repro.errors import CheckpointError, ConfigurationError, StepLimitExceededError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.runtime.checkpoint import CheckpointJournal
-from repro.runtime.backoff import BackoffPolicy
 from repro.runtime.parallel import (
-    MAX_RETRY_BACKOFF,
     ParallelConfig,
     available_workers,
     default_chunk_size,
@@ -17,7 +16,6 @@ from repro.runtime.parallel import (
     iter_chunks,
     parallelism,
     resolve_workers,
-    retry_backoff_policy,
     run_indexed_trials,
     set_default_parallelism,
     supports_fork,
@@ -68,16 +66,6 @@ class TestConfig:
             ParallelConfig(workers=-1)
         with pytest.raises(ConfigurationError):
             ParallelConfig(chunk_size=0)
-        with pytest.raises(ConfigurationError):
-            ParallelConfig(timeout=0.0)
-        with pytest.raises(ConfigurationError):
-            ParallelConfig(retries=-1)
-        with pytest.raises(ConfigurationError):
-            ParallelConfig(backoff=-0.1)
-
-    def test_backoff_override_via_context(self):
-        with parallelism(backoff=0.0) as config:
-            assert config.backoff == 0.0
 
     def test_parallelism_context_restores_default(self):
         before = get_default_parallelism()
@@ -171,15 +159,6 @@ class TestShardedPath:
         with pytest.raises(ValueError, match="trial 3 exploded"):
             run_indexed_trials(task, 6, workers=2, chunk_size=1)
 
-    def test_hung_worker_surfaces_step_limit_error(self):
-        def task(index):
-            time.sleep(60)
-
-        with pytest.raises(StepLimitExceededError, match="timed out"):
-            run_indexed_trials(
-                task, 2, workers=2, chunk_size=1, timeout=0.4, retries=0
-            )
-
     def test_reentrant_call_falls_back_to_serial(self):
         """A task that itself sweeps must not fork a pool inside a worker."""
 
@@ -194,48 +173,12 @@ class TestShardedPath:
 
 @needs_fork
 class TestRetrySemantics:
-    def test_retry_completes_after_transient_hang(self, tmp_path):
-        marker = tmp_path / "first-attempt"
-
-        def task(index):
-            if not marker.exists():
-                marker.write_text("hung")
-                time.sleep(60)
-            return index * 2
-
-        result = run_indexed_trials(
-            task, 4, workers=2, chunk_size=4, timeout=1.0, retries=1
-        )
-        assert result == [0, 2, 4, 6]
-        assert marker.exists()
-
-    def test_exhausted_retries_raise(self):
-        def task(index):
-            time.sleep(60)
-
-        started = time.time()
-        with pytest.raises(StepLimitExceededError):
-            run_indexed_trials(
-                task, 2, workers=2, chunk_size=1, timeout=0.3, retries=1
-            )
-        # two attempts, each bounded by the timeout (plus pool overhead)
-        assert time.time() - started < 30
-
-    def test_hung_chunk_message_names_unfinished_ranges(self):
-        def task(index):
-            time.sleep(60) if index == 1 else None
-            return index
-
-        with pytest.raises(StepLimitExceededError, match=r"\(1, 2\)"):
-            run_indexed_trials(
-                task, 3, workers=2, chunk_size=1, timeout=0.5, retries=0,
-                backoff=0.0,
-            )
+    """A chunk is never retried: its trials are pure functions of their
+    indices, so a chunk that raised once would raise again."""
 
     def test_poison_chunk_quarantined_with_context(self):
-        """A chunk that fails on every attempt is quarantined: its own
-        exception propagates, annotated with the quarantined ranges, and
-        the healthy chunks still complete (visible via the journal)."""
+        """A failing chunk's own exception propagates, annotated with the
+        failed ranges, after the healthy chunks have completed."""
 
         def task(index):
             if index == 2:
@@ -243,54 +186,61 @@ class TestRetrySemantics:
             return index
 
         with pytest.raises(RuntimeError, match="poison trial") as excinfo:
-            run_indexed_trials(
-                task, 4, workers=2, chunk_size=1, retries=1, backoff=0.0
-            )
+            run_indexed_trials(task, 4, workers=2, chunk_size=1)
         notes = "".join(getattr(excinfo.value, "__notes__", []))
-        assert "quarantined" in notes
-        assert "(2, 3)" in notes
+        assert "1 of 4 trial chunks failed" in notes
+        assert "failed trial ranges: [(2, 3)]" in notes
 
-    def test_backoff_delays_retries(self):
-        """Retries sleep a jittered delay: nonzero, but capped by the
-        policy ceiling — the full-jitter draw never exceeds base * 2^k."""
+    def test_failing_chunk_runs_exactly_once(self, tmp_path):
+        """Every trial executes once, the failing chunk included; every
+        other chunk is journaled, and the note names the failed range."""
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        journal_path = str(tmp_path / "sweep.journal")
 
         def task(index):
-            raise RuntimeError("always fails")
+            with open(runs / str(index), "a") as marker:
+                marker.write("x")
+            if index == 3:
+                raise ValueError("trial 3 fails deterministically")
+            return index
 
-        started = time.time()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="trial 3") as excinfo:
             run_indexed_trials(
-                task, 2, workers=2, chunk_size=1, retries=2, backoff=0.3
+                task, 8, workers=2, chunk_size=2,
+                checkpoint_path=journal_path, run_key="once",
             )
-        elapsed = time.time() - started
-        # Two chunks, two retries each, ceilings 0.3s and 0.6s: the
-        # jittered total can never exceed the un-jittered worst case
-        # (plus scheduling slack).  A tight lower bound would be flaky
-        # under full jitter (the draw may legitimately be ~0).
-        assert elapsed < 2 * (0.3 + 0.6) + 2.0
+        counts = {path.name: len(path.read_text()) for path in runs.iterdir()}
+        assert counts == {str(index): 1 for index in range(8)}
+        notes = "".join(getattr(excinfo.value, "__notes__", []))
+        assert "failed trial ranges: [(2, 4)]" in notes
+        journal = CheckpointJournal.open(
+            journal_path, run_key="once", trials=8, chunk_size=2
+        )
+        assert journal.completed_trials == 6
+        assert journal.outcomes_for(2, 4) is None
 
-    def test_retry_backoff_policy_is_jittered_and_capped(self):
-        """The chunk-retry policy is full-jitter with the 30s cap, and the
-        jitter stream is a deterministic function of the run key."""
-        policy = retry_backoff_policy(0.3)
-        assert policy.max_delay == MAX_RETRY_BACKOFF
-        assert policy.jitter == "full"
-        assert policy.cap(0) == pytest.approx(0.3)
-        assert policy.cap(1) == pytest.approx(0.6)
-        # The exponential ceiling saturates at MAX_RETRY_BACKOFF.
-        assert policy.cap(20) == MAX_RETRY_BACKOFF
+    def test_coordinator_interrupt_stops_the_sweep(self):
+        """Ctrl-C in the coordinator terminates the pool and propagates at
+        once; it is not taken for a chunk failure."""
 
-        first = BackoffPolicy.rng(0, "parallel-retry", "key")
-        second = BackoffPolicy.rng(0, "parallel-retry", "key")
-        draws_one = [policy.delay(k, first) for k in range(6)]
-        draws_two = [policy.delay(k, second) for k in range(6)]
-        assert draws_one == draws_two
-        assert any(delay > 0 for delay in draws_one)
-        for attempt, delay in enumerate(draws_one):
-            assert 0.0 <= delay <= policy.cap(attempt)
+        def task(index):
+            time.sleep(0.5)
+            return index
 
-        other = BackoffPolicy.rng(0, "parallel-retry", "other-key")
-        assert [policy.delay(k, other) for k in range(6)] != draws_one
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            started = time.monotonic()
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                run_indexed_trials(task, 12, workers=2, chunk_size=1)
+            assert time.monotonic() - started < 2.0
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 @needs_fork
@@ -374,9 +324,9 @@ class TestCheckpointedExecution:
         assert resumed == first
 
     def test_healthy_chunks_journaled_despite_poison(self, tmp_path):
-        """Quarantine + checkpointing compose: when a poison chunk fails the
-        run, the healthy chunks' outcomes are already durable, so the fixed
-        re-run only executes the formerly-poison chunk."""
+        """A failed chunk and checkpointing compose: when a poison chunk
+        fails the run, the healthy chunks' outcomes are already durable, so
+        the fixed re-run only executes the formerly-poison chunk."""
         journal_path = str(tmp_path / "sweep.journal")
 
         def poisoned(index):
@@ -384,11 +334,13 @@ class TestCheckpointedExecution:
                 raise RuntimeError("poison trial")
             return index
 
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError) as excinfo:
             run_indexed_trials(
-                poisoned, 5, workers=2, chunk_size=1, retries=0, backoff=0.0,
+                poisoned, 5, workers=2, chunk_size=1,
                 checkpoint_path=journal_path, run_key="sweep",
             )
+        notes = "".join(getattr(excinfo.value, "__notes__", []))
+        assert "failed trial ranges: [(2, 3)]" in notes
         journal = CheckpointJournal.open(
             journal_path, run_key="sweep", trials=5, chunk_size=1
         )

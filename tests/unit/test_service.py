@@ -18,6 +18,7 @@ from repro.runtime.faults import (
     ShardBlackoutFault,
     WorkerKillFault,
 )
+from repro.runtime.vectorized import numpy_available
 from repro.service import (
     ConsensusService,
     ServiceConfig,
@@ -431,8 +432,14 @@ class TestDegradation:
              for i in range(8)],
         )
         degraded = [r for r in responses if r.ok and r.degraded]
-        assert degraded, "sustained overload should trigger degradation"
-        assert all(r.backend == "vectorized" for r in degraded)
+        if numpy_available():
+            assert degraded, "sustained overload should trigger degradation"
+            assert all(r.backend == "vectorized" for r in degraded)
+        else:
+            # Nothing is eligible for the vectorized backend without NumPy:
+            # degraded mode is entered, every session stays on the generator.
+            assert not degraded
+            assert all(r.backend == "generator" for r in responses if r.ok)
         assert service.degraded_entries >= 1
         assert not service.degraded  # drained and recovered
 
