@@ -41,7 +41,6 @@ _EXPORTS = {
     "repro.adoptcommit.encoders": ("IntEncoder", "DomainEncoder"),
     "repro.adoptcommit.flag_ac": ("BinaryAdoptCommit", "FlagAdoptCommit"),
     "repro.adoptcommit.snapshot_ac": ("SnapshotAdoptCommit",),
-    "repro.core.cil": ("CILConciliator",),
     "repro.core.cil_embedded": ("CILEmbeddedConciliator",),
     "repro.core.compose": ("ChainedConciliator",),
     "repro.core.conciliator": ("Conciliator", "run_conciliator"),
@@ -102,7 +101,6 @@ if TYPE_CHECKING:
     from repro.adoptcommit.snapshot_ac import (
         SnapshotAdoptCommit as SnapshotAdoptCommit,
     )
-    from repro.core.cil import CILConciliator as CILConciliator
     from repro.core.cil_embedded import (
         CILEmbeddedConciliator as CILEmbeddedConciliator,
     )

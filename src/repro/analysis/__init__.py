@@ -18,7 +18,7 @@ _EXPORTS = {
     "repro.analysis.theory": (
         "harmonic", "snapshot_decay_bound", "sifting_decay_bound",
         "snapshot_step_count", "sifting_step_count", "doubling_cil_step_bound",
-        "cil_total_steps_bound", "markov_disagreement_bound",
+        "cil_total_steps_bound",
     ),
 }
 
@@ -50,7 +50,6 @@ if TYPE_CHECKING:
         cil_total_steps_bound as cil_total_steps_bound,
         doubling_cil_step_bound as doubling_cil_step_bound,
         harmonic as harmonic,
-        markov_disagreement_bound as markov_disagreement_bound,
         sifting_decay_bound as sifting_decay_bound,
         sifting_step_count as sifting_step_count,
         snapshot_decay_bound as snapshot_decay_bound,

@@ -35,7 +35,6 @@ __all__ = [
     "cil_total_steps_bound",
     "cil_inner_rounds",
     "cil_individual_step_bound",
-    "markov_disagreement_bound",
     "ATTRIBUTION_ALGORITHMS",
     "predicted_attribution",
 ]
@@ -189,11 +188,3 @@ def predicted_attribution(
         f"no attribution prediction for algorithm {algorithm!r}; "
         f"choose from {ATTRIBUTION_ALGORITHMS}"
     )
-
-
-def markov_disagreement_bound(expected_excess: float) -> float:
-    """Markov's inequality step used in Theorems 1 and 2:
-    ``Pr[X > 0] <= E[X]`` for integer-valued ``X >= 0``."""
-    if expected_excess < 0:
-        raise ConfigurationError("expected excess must be non-negative")
-    return min(1.0, expected_excess)

@@ -5,7 +5,6 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "repro.core.cil": ("CILConciliator",),
     "repro.core.cil_embedded": ("CILEmbeddedConciliator", "INNER_EPSILON"),
     "repro.core.compose": ("ChainedConciliator",),
     "repro.core.conciliator": ("Conciliator", "run_conciliator"),
@@ -32,7 +31,6 @@ _EXPORTS = {
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
 
 if TYPE_CHECKING:
-    from repro.core.cil import CILConciliator as CILConciliator
     from repro.core.cil_embedded import (
         INNER_EPSILON as INNER_EPSILON,
         CILEmbeddedConciliator as CILEmbeddedConciliator,

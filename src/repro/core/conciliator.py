@@ -132,7 +132,8 @@ def run_conciliator(
 ) -> RunResult:
     """Run one conciliator execution: every process proposes its input.
 
-    ``hooks`` attaches fault injectors and invariant monitors (see
+    ``hooks`` attaches :class:`~repro.runtime.hooks.StepHook` instances
+    such as fault injectors and invariant monitors (see
     :mod:`repro.runtime.faults` and :mod:`repro.runtime.monitors`) to the
     underlying simulator; ``allow_partial``/``skip_guard`` support fault
     sweeps that deliberately crash or starve processes; ``metrics``

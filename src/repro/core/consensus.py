@@ -201,7 +201,8 @@ def run_consensus(
 ) -> RunResult:
     """Run one consensus execution with the given input assignment.
 
-    ``hooks`` attaches fault injectors and invariant monitors (see
+    ``hooks`` attaches :class:`~repro.runtime.hooks.StepHook` instances
+    such as fault injectors and invariant monitors (see
     :mod:`repro.runtime.faults` and :mod:`repro.runtime.monitors`);
     ``allow_partial``/``skip_guard`` support fault sweeps that crash or
     starve processes on purpose.  ``metrics`` attaches a

@@ -325,7 +325,7 @@ for _base in catalog.names():
 #
 # The service layer (repro.service) is chaos-tested the same declarative
 # way the simulator is fuzzed: a named, committed plan of faults drawn
-# from the service vocabulary in repro.runtime.faults.  These live in
+# from the service vocabulary in repro.service.faults.  These live in
 # their OWN registry — not STACKS — because the fuzzer's seeded stack
 # draw indexes into stack_names(), and inserting service entries there
 # would silently shift every committed corpus scenario onto a different
@@ -369,7 +369,7 @@ def service_chaos_names() -> Tuple[str, ...]:
     return tuple(sorted(SERVICE_CHAOS_STACKS))
 
 
-from repro.runtime.faults import (  # noqa: E402  (registry block order)
+from repro.service.faults import (  # noqa: E402  (registry block order)
     ResponseDelayFault,
     ServiceFaultPlan,
     ShardBlackoutFault,

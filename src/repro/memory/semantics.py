@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.errors import ConfigurationError
 from repro.jsonio import expect_versioned
-from repro.runtime.faults import StepHook
+from repro.runtime.hooks import StepHook
 from repro.runtime.operations import Operation
 
 __all__ = [

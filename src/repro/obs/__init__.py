@@ -9,7 +9,7 @@ substrate the rest of the repository plugs into:
   schema covering steps, register reads/writes, snapshot scans, persona
   adoptions, round transitions, crashes, and stalls;
 - :mod:`repro.obs.tracing` — :class:`TraceRecorder`, a
-  :class:`~repro.runtime.faults.StepHook` that records every structured
+  :class:`~repro.runtime.hooks.StepHook` that records every structured
   event of a run, and is zero-cost when not attached (the simulator
   skips all hook machinery when it has no hooks);
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry` counters/histograms

@@ -40,7 +40,7 @@ from typing import (
 
 from repro.errors import ConfigurationError
 from repro.jsonio import expect_versioned
-from repro.runtime.faults import StepHook
+from repro.runtime.hooks import StepHook
 from repro.runtime.operations import Operation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -1,6 +1,6 @@
 """Structured trace recording as a simulator step hook.
 
-:class:`TraceRecorder` subclasses :class:`~repro.runtime.faults.StepHook`
+:class:`TraceRecorder` subclasses :class:`~repro.runtime.hooks.StepHook`
 (the PR 2 protocol), so it attaches to any run via the ordinary ``hooks=``
 argument and observes exactly what every other hook observes — charged
 steps, injected crashes, withheld slots, completions, and run boundaries.
@@ -32,7 +32,7 @@ from repro.obs.events import (
     TraceEventRecord,
     write_trace_jsonl,
 )
-from repro.runtime.faults import StepHook
+from repro.runtime.hooks import StepHook
 from repro.runtime.operations import Operation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

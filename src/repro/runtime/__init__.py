@@ -38,9 +38,10 @@ _EXPORTS = {
     ),
     "repro.runtime.checkpoint": ("CheckpointJournal",),
     "repro.runtime.faults": (
-        "CrashFault", "FaultInjector", "FaultPlan", "InterceptedResult",
-        "RegisterFault", "StallFault", "StepHook",
+        "CrashFault", "FaultInjector", "FaultPlan", "RegisterFault",
+        "StallFault",
     ),
+    "repro.runtime.hooks": ("InterceptedResult", "StepHook"),
     "repro.runtime.monitors": (
         "AdoptCommitCoherenceMonitor", "InvariantMonitor",
         "InvariantViolation", "RegisterSemanticsMonitor", "ValidityMonitor",
@@ -89,9 +90,11 @@ if TYPE_CHECKING:
         CrashFault as CrashFault,
         FaultInjector as FaultInjector,
         FaultPlan as FaultPlan,
-        InterceptedResult as InterceptedResult,
         RegisterFault as RegisterFault,
         StallFault as StallFault,
+    )
+    from repro.runtime.hooks import (
+        InterceptedResult as InterceptedResult,
         StepHook as StepHook,
     )
     from repro.runtime.monitors import (

@@ -35,7 +35,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.jsonio import expect_versioned
-from repro.runtime.faults import StepHook
+from repro.runtime.hooks import StepHook
 from repro.runtime.operations import Operation
 from repro.runtime.process import Process, Program
 from repro.runtime.results import RunResult
@@ -350,7 +350,7 @@ def run_adaptive_programs(
     finished, crashed or no such pid -- raises
     :class:`~repro.errors.SimulationError`.
 
-    ``hooks`` are the same :class:`~repro.runtime.faults.StepHook` instances
+    ``hooks`` are the same :class:`~repro.runtime.hooks.StepHook` instances
     oblivious runs take, dispatched by the same loop: fault injectors may
     crash a process (it disappears from the adversary's view) or withhold
     slots, and invariant monitors observe every charged step.

@@ -28,7 +28,7 @@ import time
 from typing import Optional
 
 from repro.errors import BudgetExceededError, ConfigurationError
-from repro.runtime.faults import StepHook
+from repro.runtime.hooks import StepHook
 from repro.runtime.operations import Operation
 
 __all__ = ["Deadline", "WallClockBudgetHook"]

@@ -1,6 +1,6 @@
 """Inline invariant monitors: check safety/liveness properties as runs execute.
 
-Monitors are :class:`~repro.runtime.faults.StepHook` subclasses that watch
+Monitors are :class:`~repro.runtime.hooks.StepHook` subclasses that watch
 every charged step and every process completion, and flag violations of the
 properties the paper proves:
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set
 
 from repro.errors import ConfigurationError, ProtocolViolationError
-from repro.runtime.faults import StepHook
+from repro.runtime.hooks import StepHook
 from repro.runtime.operations import Operation, Read, Write
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -16,12 +16,12 @@ master seed.  Fault injection preserves this: a
 :class:`~repro.runtime.faults.FaultPlan` triggers on charged step counts
 only, so a faulted run is a pure function of the same tuple plus the plan.
 
-Step hooks (:class:`~repro.runtime.faults.StepHook`) are consulted at every
+Step hooks (:class:`~repro.runtime.hooks.StepHook`) are consulted at every
 slot: an injector may crash a process, withhold its slot, or intercept an
 operation, while invariant monitors (:mod:`repro.runtime.monitors`) observe
 every charged step and completion to check validity, coherence, and
 wait-freedom inline.  Each callback is dispatched only to the hooks that
-override it (:func:`~repro.runtime.faults.hook_methods`).
+override it (:func:`~repro.runtime.hooks.hook_methods`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.errors import (
     SimulationError,
     StepLimitExceededError,
 )
-from repro.runtime.faults import (
+from repro.runtime.hooks import (
     CRASH,
     HOOK_STAGES,
     SKIP,
@@ -70,7 +70,7 @@ class Simulator:
             forever.  Randomized wait-free protocols terminate with
             probability 1, so hitting this limit indicates a bug or an
             astronomically unlucky seed.
-        hooks: :class:`~repro.runtime.faults.StepHook` instances consulted
+        hooks: :class:`~repro.runtime.hooks.StepHook` instances consulted
             at every slot — fault injectors first, then monitors, so
             monitors observe the post-fault execution.  Hooked and
             unhooked runs share one step loop, which calls each callback

@@ -11,7 +11,7 @@ the last write, snapshot views nest, max registers are monotone).  This turns
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple
+from typing import Any, List, NamedTuple
 
 from repro.errors import ProtocolViolationError
 
@@ -154,14 +154,3 @@ def check_max_register_semantics(events: List[TraceEvent]) -> None:
                     f"max register {event.obj_name}: read at step {event.step} "
                     f"returned {event.result!r}, expected {current!r}"
                 )
-
-
-def steps_by_object(events: List[TraceEvent]) -> Dict[str, int]:
-    """Count executed operations per object name (for cost accounting)."""
-    counts: Dict[str, int] = {}
-    for event in events:
-        counts[event.obj_name] = counts.get(event.obj_name, 0) + 1
-    return counts
-
-
-__all__.append("steps_by_object")

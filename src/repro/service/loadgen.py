@@ -31,8 +31,8 @@ import asyncio
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.faults import ServiceFaultPlan
 from repro.runtime.rng import derive_seed
+from repro.service.faults import ServiceFaultPlan
 from repro.service.service import ConsensusService, ServiceConfig
 from repro.service.session import SessionRequest, SessionResponse
 from repro.service.spans import Span

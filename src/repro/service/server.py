@@ -33,7 +33,7 @@ from typing import Any, Dict, Optional, Set
 
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.faults import ServiceFaultPlan
+from repro.service.faults import ServiceFaultPlan
 from repro.service.service import ConsensusService, ServiceConfig
 from repro.service.session import SessionRequest
 

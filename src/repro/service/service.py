@@ -16,7 +16,7 @@ names happens here, in one place, in deterministic order:
   outlive its session.
 - **Retries with capped full jitter** — transient worker failures (chaos
   kills, blackouts, timeouts) retry up to ``max_attempts`` times under
-  a capped full-jitter :class:`~repro.runtime.backoff.BackoffPolicy`,
+  a capped full-jitter :class:`~repro.service.backoff.BackoffPolicy`,
   with per-session seeded jitter.
 - **Circuit breakers** — one :class:`~repro.service.breaker.CircuitBreaker`
   per shard, consulted at admission, fed by attempt outcomes; an open
@@ -58,9 +58,9 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.backoff import BackoffPolicy
-from repro.runtime.faults import ServiceFaultController, ServiceFaultPlan
+from repro.service.backoff import BackoffPolicy
 from repro.service.breaker import HALF_OPEN, BreakerConfig, CircuitBreaker
+from repro.service.faults import ServiceFaultController, ServiceFaultPlan
 from repro.service.session import (
     COMPLETED,
     FAILED,

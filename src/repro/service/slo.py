@@ -1,8 +1,8 @@
 """SLO report: one loadtest run reduced to a versioned JSON artifact.
 
-The report is the service layer's analogue of the sweep records in
-:mod:`repro.analysis.records`: a self-describing, schema-versioned JSON
-document that CI can gate on and the trend ledger can track.  Its
+The report is the service layer's analogue of the bench reports of
+:mod:`repro.obs.bench`: a self-describing, schema-versioned JSON document
+that CI can gate on and the trend ledger can track.  Its
 determinism contract is explicit: every field except the ``wall_clock``
 section is a pure function of the loadtest's seeded inputs, so
 :func:`deterministic_view` (the report minus ``wall_clock``) must be

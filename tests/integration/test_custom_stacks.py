@@ -2,9 +2,9 @@
 
 The alternation framework of Section 1.2 works for *any* conciliator and
 *any* adopt-commit object.  These tests wire unusual combinations — the
-bare CIL conciliator, chained conciliators, the O(n) collect adopt-commit,
-the indirection variant — and check that consensus safety still holds,
-which is the framework's claim.
+doubling CIL conciliator, chained conciliators, the O(n) collect
+adopt-commit, the indirection variant — and check that consensus safety
+still holds, which is the framework's claim.
 """
 
 import pytest
@@ -12,7 +12,6 @@ import pytest
 from repro.adoptcommit.collect_ac import CollectAdoptCommit
 from repro.adoptcommit.snapshot_ac import SnapshotAdoptCommit
 from repro.baselines.doubling_cil import DoublingCILConciliator
-from repro.core.cil import CILConciliator
 from repro.core.compose import ChainedConciliator
 from repro.core.consensus import ConsensusProtocol, run_consensus
 from repro.core.indirect_conciliator import IndirectSnapshotConciliator
@@ -37,10 +36,6 @@ def run_stack(conciliator_factory, ac_factory, seed):
 
 
 STACKS = {
-    "cil+collect": (
-        lambda n, phase: CILConciliator(n, name=f"cil-{phase}"),
-        lambda n, phase: CollectAdoptCommit(n, name=f"collect-{phase}"),
-    ),
     "doubling-cil+snapshot-ac": (
         lambda n, phase: DoublingCILConciliator(n, name=f"dcil-{phase}"),
         lambda n, phase: SnapshotAdoptCommit(n, name=f"snap-ac-{phase}"),

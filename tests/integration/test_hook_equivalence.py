@@ -31,7 +31,8 @@ from repro.runtime.adaptive import (
     run_adaptive_programs,
 )
 from repro.runtime.adversary import make_adversary
-from repro.runtime.faults import FaultPlan, StallFault, StepHook
+from repro.runtime.faults import FaultPlan, StallFault
+from repro.runtime.hooks import StepHook
 from repro.runtime.rng import SeedTree
 from repro.runtime.scheduler import LimitedSchedule
 from repro.runtime.simulator import run_programs

@@ -15,7 +15,6 @@ from repro.runtime.trace import (
     check_max_register_semantics,
     check_register_semantics,
     check_snapshot_semantics,
-    steps_by_object,
 )
 
 
@@ -78,8 +77,7 @@ class TestSiftingConciliatorTraces:
         n = 8
         conciliator = SiftingConciliator(n)
         result = traced_run(conciliator, n, seed=6)
-        counts = steps_by_object(result.trace.events)
-        assert sum(counts.values()) == n * conciliator.rounds
+        assert len(result.trace.events) == n * conciliator.rounds
 
     def test_block_adversary_traces_also_pass(self):
         n = 8

@@ -20,7 +20,8 @@ from repro.memory.register import AtomicRegister
 from repro.obs.metrics import MetricsHook, MetricsRegistry
 from repro.obs.tracing import TraceRecorder
 from repro.runtime.adaptive import AdaptiveAdversary, run_adaptive_programs
-from repro.runtime.faults import CrashFault, FaultPlan, StallFault, StepHook
+from repro.runtime.faults import CrashFault, FaultPlan, StallFault
+from repro.runtime.hooks import StepHook
 from repro.runtime.monitors import (
     AdoptCommitCoherenceMonitor,
     RegisterSemanticsMonitor,

@@ -8,7 +8,6 @@ every conciliator across every named workload.
 import pytest
 
 from repro.baselines.doubling_cil import DoublingCILConciliator
-from repro.core.cil import CILConciliator
 from repro.core.cil_embedded import CILEmbeddedConciliator
 from repro.core.indirect_conciliator import IndirectSnapshotConciliator
 from repro.core.sifting_conciliator import SiftingConciliator
@@ -26,7 +25,6 @@ CONCILIATORS = {
     "indirect": lambda: IndirectSnapshotConciliator(N),
     "sifting": lambda: SiftingConciliator(N),
     "sifting-anon": lambda: SiftingConciliator(N, anonymous=True),
-    "cil": lambda: CILConciliator(N),
     "cil-embedded": lambda: CILEmbeddedConciliator(N),
     "doubling-cil": lambda: DoublingCILConciliator(N),
 }

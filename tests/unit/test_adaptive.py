@@ -23,7 +23,8 @@ from repro.runtime.adaptive import (
     run_adaptive_programs,
 )
 from repro.runtime.adversary import _StaleView
-from repro.runtime.faults import CrashFault, FaultPlan, StallFault, StepHook
+from repro.runtime.faults import CrashFault, FaultPlan, StallFault
+from repro.runtime.hooks import StepHook
 from repro.runtime.operations import Read, Write
 from repro.runtime.rng import SeedTree
 

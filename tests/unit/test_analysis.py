@@ -26,7 +26,6 @@ from repro.analysis.theory import (
     cil_total_steps_bound,
     doubling_cil_step_bound,
     harmonic,
-    markov_disagreement_bound,
     sifting_decay_bound,
     sifting_step_count,
     snapshot_decay_bound,
@@ -222,12 +221,6 @@ class TestTheory:
         assert cil_total_steps_bound(20) == 2 * cil_total_steps_bound(10)
         with pytest.raises(ConfigurationError):
             cil_total_steps_bound(0)
-
-    def test_markov_bound(self):
-        assert markov_disagreement_bound(0.25) == 0.25
-        assert markov_disagreement_bound(3.0) == 1.0
-        with pytest.raises(ConfigurationError):
-            markov_disagreement_bound(-0.1)
 
     def test_predicted_attribution_covers_all_algorithms(self):
         from repro.analysis.theory import (

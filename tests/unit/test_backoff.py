@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime.backoff import BackoffPolicy
+from repro.service.backoff import BackoffPolicy
 
 
 class TestCaps:

@@ -1,74 +1,9 @@
-"""Unit tests for the plain CIL conciliator and the doubling baseline."""
-
-import pytest
+"""Unit tests for the doubling CIL baseline and the naive conciliator."""
 
 import helpers
 from repro.baselines.doubling_cil import DoublingCILConciliator
 from repro.baselines.naive_conciliator import NaiveConciliator
-from repro.core.cil import CILConciliator
-from repro.core.rounds import cil_write_probability
 from repro.runtime.scheduler import ExplicitSchedule, RoundRobinSchedule
-
-
-class TestCILConciliator:
-    def test_default_write_probability(self):
-        conciliator = CILConciliator(8)
-        assert conciliator.write_probability == cil_write_probability(8)
-
-    def test_terminates_and_valid(self):
-        n = 6
-        conciliator = CILConciliator(n)
-        result = helpers.run_conciliator_once(conciliator, list(range(n)), seed=1)
-        assert result.completed
-        assert result.validity_holds({pid: pid for pid in range(n)})
-
-    def test_write_probability_one_first_process_wins_sequentially(self):
-        # With p=1 and a sequential schedule, process 0 reads empty, writes,
-        # and every later process reads 0's value and adopts it.
-        n = 4
-        conciliator = CILConciliator(n, write_probability=1.0)
-        slots = [pid for pid in range(n) for _ in range(2)]
-        result = helpers.run_conciliator_once(
-            conciliator, list(range(n)),
-            schedule=ExplicitSchedule(slots, n=n), seed=2,
-        )
-        assert result.agreement
-        assert result.decided_values == {0}
-
-    def test_write_probability_one_round_robin_all_keep_own(self):
-        # Under round-robin everyone's first read sees an empty register
-        # (no writes have happened yet), so with p=1 everyone then writes
-        # its own value: total disagreement — the CIL failure mode the
-        # 1/(4n) probability is tuned to avoid.
-        n = 4
-        conciliator = CILConciliator(n, write_probability=1.0)
-        result = helpers.run_conciliator_once(
-            conciliator, list(range(n)), schedule=RoundRobinSchedule(n), seed=2
-        )
-        assert result.outputs == {pid: pid for pid in range(n)}
-
-    def test_reader_after_writer_adopts(self):
-        conciliator = CILConciliator(2, write_probability=1.0)
-        result = helpers.run_conciliator_once(
-            conciliator,
-            ["first", "second"],
-            schedule=ExplicitSchedule([0, 0, 1], n=2),
-            seed=3,
-        )
-        assert result.decided_values == {"first"}
-
-    def test_agreement_rate_is_constant(self):
-        n = 8
-        rate = helpers.agreement_rate(
-            lambda: CILConciliator(n), list(range(n)), trials=60, seed=4
-        )
-        # Paper: once written, survives alone with probability > 3/4.
-        assert rate > 0.5
-
-    def test_unanimous_inputs_agree_always(self):
-        conciliator = CILConciliator(5)
-        result = helpers.run_conciliator_once(conciliator, ["v"] * 5, seed=5)
-        assert result.decided_values == {"v"}
 
 
 class TestDoublingCIL:

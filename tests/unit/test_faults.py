@@ -5,13 +5,12 @@ import pytest
 from repro.errors import ConfigurationError, ScheduleExhaustedError
 from repro.memory.register import AtomicRegister
 from repro.runtime.faults import (
-    CRASH,
-    SKIP,
     CrashFault,
     FaultPlan,
     RegisterFault,
     StallFault,
 )
+from repro.runtime.hooks import CRASH, SKIP
 from repro.runtime.operations import Read, Write
 from repro.runtime.rng import SeedTree
 from repro.runtime.scheduler import RoundRobinSchedule

@@ -13,7 +13,7 @@ import pytest
 from repro.errors import ProtocolViolationError
 from repro.memory.register import AtomicRegister
 from repro.runtime.adaptive import ShortestFirstAdversary, run_adaptive_programs
-from repro.runtime.faults import (
+from repro.runtime.hooks import (
     CRASH,
     HOOK_STAGES,
     SKIP,

@@ -76,11 +76,16 @@ def test_generator_sweep_loads_no_optional_layer():
     unwanted = {
         "repro.runtime.vectorized", "multiprocessing", "subprocess",
         "repro.obs.bench", "repro.obs.analyze", "repro.obs.timeline",
-        "repro.obs.trend",
+        "repro.obs.trend", "repro.runtime.faults",
     }
     assert not unwanted & loaded
     assert not [name for name in loaded
                 if name.startswith(("repro.service", "repro.fuzz"))]
+
+
+def test_service_loads_no_simulation_fault_vocabulary():
+    loaded = set(modules_loaded_by("import repro.service.service"))
+    assert not {"repro.runtime.faults", "repro.runtime.backoff"} & loaded
 
 
 def test_every_public_name_resolves_to_its_defining_module():

@@ -37,14 +37,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trend import BENCH_LEDGER, history_entry
 from repro.runtime.adaptive import AdaptiveSpec
 from repro.runtime.adversary import AdversarySpec
-from repro.runtime.faults import (
-    CrashFault,
-    FaultPlan,
-    ServiceFaultPlan,
-    StallFault,
-    WorkerKillFault,
-)
+from repro.runtime.faults import CrashFault, FaultPlan, StallFault
 from repro.runtime.scheduler import ExplicitSchedule
+from repro.service.faults import ServiceFaultPlan, WorkerKillFault
 from repro.service.session import SessionRequest, SessionResponse
 from repro.service.slo import SLO_LEDGER, load_report
 from repro.service.spans import Span, tree_from_json, tree_to_json

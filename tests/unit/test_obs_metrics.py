@@ -15,13 +15,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     merge_snapshots,
 )
-from repro.runtime.faults import (
-    HOOK_STAGES,
-    CrashFault,
-    FaultPlan,
-    StallFault,
-    StepHook,
-)
+from repro.runtime.faults import CrashFault, FaultPlan, StallFault
+from repro.runtime.hooks import HOOK_STAGES, StepHook
 from repro.runtime.monitors import WaitFreedomWatchdog
 from repro.runtime.rng import SeedTree
 from repro.runtime.simulator import run_programs

@@ -12,12 +12,6 @@ import socket
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime.faults import (
-    ResponseDelayFault,
-    ServiceFaultPlan,
-    ShardBlackoutFault,
-    WorkerKillFault,
-)
 from repro.runtime.vectorized import numpy_available
 from repro.service import (
     ConsensusService,
@@ -26,6 +20,12 @@ from repro.service import (
     SessionResponse,
     VirtualTimeEventLoop,
     run_virtual,
+)
+from repro.service.faults import (
+    ResponseDelayFault,
+    ServiceFaultPlan,
+    ShardBlackoutFault,
+    WorkerKillFault,
 )
 from repro.service.session import (
     FAILED_CLIENT_DROP,

@@ -1,5 +1,7 @@
 """Unit tests for the service-level fault vocabulary and chaos registry."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -10,7 +12,7 @@ from repro.fuzz.stacks import (
     service_chaos_names,
     stack_names,
 )
-from repro.runtime.faults import (
+from repro.service.faults import (
     ResponseDelayFault,
     ServiceFaultPlan,
     ShardBlackoutFault,
@@ -23,6 +25,9 @@ class TestValidation:
         {"shard": -1},
         {"shard": 0, "at": -0.5},
         {"shard": 0, "count": 0},
+        {"shard": 0, "at": math.nan},
+        {"shard": math.nan},
+        {"shard": 0, "count": math.nan},
     ])
     def test_worker_kill_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -33,6 +38,9 @@ class TestValidation:
         {"shard": 0, "start": -1.0, "duration": 1.0, "delay": 0.1},
         {"shard": 0, "start": 0.0, "duration": 0.0, "delay": 0.1},
         {"shard": 0, "start": 0.0, "duration": 1.0, "delay": 0.0},
+        {"shard": 0, "start": math.nan, "duration": 1.0, "delay": 0.1},
+        {"shard": 0, "start": 0.0, "duration": math.nan, "delay": 0.1},
+        {"shard": 0, "start": 0.0, "duration": 1.0, "delay": math.nan},
     ])
     def test_response_delay_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -41,6 +49,13 @@ class TestValidation:
     def test_blackout_rejects_bad_fields(self):
         with pytest.raises(ConfigurationError):
             ShardBlackoutFault(shard=0, start=0.0, duration=0.0)
+        with pytest.raises(ConfigurationError):
+            ShardBlackoutFault(shard=0, start=0.0, duration=math.nan)
+        with pytest.raises(ConfigurationError):
+            ServiceFaultPlan.from_json({
+                "version": 1,
+                "blackouts": [{"shard": 0, "start": "nan", "duration": 1.0}],
+            })
 
     def test_empty_plan_properties(self):
         plan = ServiceFaultPlan()

@@ -209,7 +209,7 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("hooked", [False, True])
     def test_non_operation_mid_run_rejected(self, hooked):
-        from repro.runtime.faults import StepHook
+        from repro.runtime.hooks import StepHook
 
         register = AtomicRegister("r")
 
@@ -305,7 +305,7 @@ class TestHookFailureNotes:
         )
 
     def test_before_step_failure_is_annotated(self):
-        from repro.runtime.faults import StepHook
+        from repro.runtime.hooks import StepHook
 
         class Exploding(StepHook):
             def before_step(self, pid, process_steps, global_steps, operation):
@@ -322,7 +322,7 @@ class TestHookFailureNotes:
         assert "global step=3" in notes
 
     def test_after_step_failure_is_annotated(self):
-        from repro.runtime.faults import StepHook
+        from repro.runtime.hooks import StepHook
 
         class Exploding(StepHook):
             def after_step(self, pid, global_steps, operation, result):
@@ -335,7 +335,7 @@ class TestHookFailureNotes:
         assert "pid=0" in notes
 
     def test_on_finish_failure_is_annotated(self):
-        from repro.runtime.faults import StepHook
+        from repro.runtime.hooks import StepHook
 
         class Exploding(StepHook):
             def on_finish(self, pid, output):
@@ -347,7 +347,7 @@ class TestHookFailureNotes:
         assert "Exploding.on_finish" in notes
 
     def test_intercept_failure_is_annotated(self):
-        from repro.runtime.faults import StepHook
+        from repro.runtime.hooks import StepHook
 
         class Exploding(StepHook):
             def intercept(self, pid, operation):

@@ -9,7 +9,6 @@ from repro.runtime.trace import (
     check_max_register_semantics,
     check_register_semantics,
     check_snapshot_semantics,
-    steps_by_object,
 )
 
 
@@ -37,12 +36,6 @@ class TestTraceRecorder:
         recorder.record(event(0, 0, "write"))
         recorder.record(event(1, 1, "write"))
         assert len(recorder.for_pid(1)) == 1
-
-    def test_steps_by_object(self):
-        events = [event(0, 0, "write", obj_name="a"),
-                  event(1, 0, "read", obj_name="a"),
-                  event(2, 0, "read", obj_name="b")]
-        assert steps_by_object(events) == {"a": 2, "b": 1}
 
 
 class TestTraceEventValue:
